@@ -1,0 +1,66 @@
+"""Byte identity of the CLI JSON against stored goldens.
+
+Each case runs one subcommand in-process and compares its full output,
+byte for byte, with a report stored under ``tests/goldens/``.  The
+goldens were produced by the same runner before the per-sextic analysis
+object existed, so any change to a decision, an exact output or an
+enclosure string shows up here.
+
+Regenerate (only when a change of output is intended and recorded):
+
+    PYTHONPATH=src python3 tests/test_goldens.py
+"""
+
+import io
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from salemtori import IntPoly, companion
+from salemtori.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "goldens"
+
+_WORKED = {
+    "p1": "1,3,5,5,5,3,1",
+    "p2": "1,-5,13,-11,13,-5,1",
+    "p3": "1,1,3,1,3,1,1",
+}
+
+CASES = {"verify-examples": ["verify-examples"]}
+for _name, _poly in _WORKED.items():
+    CASES[f"galois-{_name}"] = ["galois", _poly]
+    CASES[f"degrees-{_name}"] = [
+        "degrees",
+        companion(IntPoly.parse(_poly)).format(),
+        "--dim",
+        "3",
+    ]
+CASES["picard-p1-triple-024"] = ["picard", _WORKED["p1"], "--triple", "0,2,4"]
+CASES["sweep-bound-1"] = ["sweep", "--trace-coeff-bound", "1"]
+
+
+def render(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_json_matches_golden(name):
+    code, out = render(CASES[name])
+    assert code == 0
+    assert out == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in sorted(CASES.items()):
+        code, out = render(argv)
+        if code != 0:
+            sys.exit(f"{name}: exit code {code}")
+        (GOLDEN_DIR / f"{name}.json").write_bytes(out)
+        print(name, len(out))
