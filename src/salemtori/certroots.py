@@ -479,9 +479,6 @@ class RootSystem:
     labeling: str
     eps: Fraction
 
-    def ball(self, i: int) -> ComplexBall:
-        return self.roots[i]
-
     def refine(self, eps) -> "RootSystem":
         """Same roots in the same order, radius at most eps.
 
@@ -665,6 +662,21 @@ class CertValue:
             return False
         self.ball = self.refine_fn(target)
         return self.ball.rad <= target
+
+
+def derived_value(current, refine, tag=None) -> CertValue:
+    """A CertValue whose disk current() computes from refinable roots;
+    shrinking calls refine() on those roots until the disk is narrow
+    enough."""
+
+    def shrink_to(target):
+        ball = current()
+        while ball.rad > target:
+            refine()
+            ball = current()
+        return ball
+
+    return CertValue(current(), shrink_to, tag)
 
 
 def certify_value_match(values, factors):

@@ -40,6 +40,7 @@ from .exceptions import (
 from .galois import galois_class
 from .intpoly import IntPoly, is_irreducible
 from .salem import (
+    SexticAnalysis,
     classify_special,
     dynamical_degrees,
     enumerate_special,
@@ -275,16 +276,16 @@ def _log_concave(lambdas, equalities) -> bool:
     return True
 
 
-def _sweep_row(trace_poly, p, args):
+def _sweep_row(trace_poly, sx, args):
     failed = []
-    deg = dynamical_degrees(companion(p), 3)
-    table = picard_table(p, c_max=args.c_max, precision_bits=args.precision_bits)
+    deg = dynamical_degrees(sx.companion_matrix, 3)
+    table = picard_table(sx, c_max=args.c_max, precision_bits=args.precision_bits)
     rho_values = sorted({rep.rho for _t, _f, rep in table})
-    if not is_irreducible(p):
+    if not is_irreducible(sx.poly):
         failed.append("irreducible")
-    if fibration_exists(p):
+    if fibration_exists(sx.poly):
         failed.append("no-fibration")
-    if first_dynamical_degree_salem(p):
+    if first_dynamical_degree_salem(sx):
         failed.append("first-degree-not-salem")
     if (1, 2) not in deg.exact_equalities:
         failed.append("lambda1-equals-lambda2")
@@ -296,7 +297,7 @@ def _sweep_row(trace_poly, p, args):
         failed.append("projective-iff-rho-9")
     row = {
         "trace_poly": trace_poly.format(),
-        "poly": p.format(),
+        "poly": sx.poly.format(),
         "lambda1": _interval(deg.lambdas[1]),
         "rho_values": rho_values,
         "ok": not failed,
@@ -312,8 +313,8 @@ def _cmd_sweep(args):
         raise InputError("trace coefficient bound must be nonnegative")
     rows = []
     violations = []
-    for trace_poly, p, _cls in enumerate_special(bound):
-        row, failed = _sweep_row(trace_poly, p, args)
+    for trace_poly, p, cls in enumerate_special(bound):
+        row, failed = _sweep_row(trace_poly, SexticAnalysis(p, cls), args)
         rows.append(row)
         if failed:
             violations.append({"poly": p.format(), "failed": failed})
@@ -343,29 +344,29 @@ _EXAMPLE_P3 = "1,1,3,1,3,1,1"
 def _verify_row_grouped(poly_text, expected, args):
     """Expected vs computed for a sextic whose product-one triples (and,
     when listed, the remaining ones) have a single known Picard value."""
-    p = IntPoly.parse(poly_text)
-    rep = galois_class(p, c_max=args.c_max, precision_bits=args.precision_bits)
-    table = picard_table(p, c_max=args.c_max, precision_bits=args.precision_bits)
+    sx = SexticAnalysis(IntPoly.parse(poly_text))
+    rep = galois_class(sx, c_max=args.c_max, precision_bits=args.precision_bits)
+    table = picard_table(sx, c_max=args.c_max, precision_bits=args.precision_bits)
     computed = {
         "class": rep.class_label,
         "order": rep.order,
         "rho_product_one": sorted({r.rho for _t, f, r in table if f}),
         "projective_product_one": sorted({r.projective for _t, f, r in table if f}),
-        "fibration_exists": fibration_exists(p),
+        "fibration_exists": fibration_exists(sx.poly),
     }
     if "rho_other" in expected:
         computed["rho_other"] = sorted({r.rho for _t, f, r in table if not f})
         computed["projective_other"] = sorted(
             {r.projective for _t, f, r in table if not f}
         )
-    return p.format(), expected, computed
+    return sx.poly.format(), expected, computed
 
 
 def _verify_row_triple(poly_text, triple, expected, args):
     """Expected vs computed for a sextic at one construction triple."""
-    p = IntPoly.parse(poly_text)
-    rep = galois_class(p, c_max=args.c_max, precision_bits=args.precision_bits)
-    table = picard_table(p, c_max=args.c_max, precision_bits=args.precision_bits)
+    sx = SexticAnalysis(IntPoly.parse(poly_text))
+    rep = galois_class(sx, c_max=args.c_max, precision_bits=args.precision_bits)
+    table = picard_table(sx, c_max=args.c_max, precision_bits=args.precision_bits)
     by_triple = {t: r for t, _f, r in table}
     pic = by_triple[triple]
     computed = {
@@ -374,9 +375,9 @@ def _verify_row_triple(poly_text, triple, expected, args):
         "triple": list(triple),
         "rho": pic.rho,
         "projective": pic.projective,
-        "fibration_exists": fibration_exists(p),
+        "fibration_exists": fibration_exists(sx.poly),
     }
-    return p.format(), expected, computed
+    return sx.poly.format(), expected, computed
 
 
 def _cmd_verify_examples(args):

@@ -27,27 +27,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
-from .certroots import (
-    CertValue,
-    ComplexBall,
-    certify_value_match,
-    expand_ball_poly,
-    isolate_roots,
-    pin_integer_coeffs,
-)
-from .exactlin import additive_compound2, char_poly, companion, wedge_power
+from .certroots import ComplexBall, expand_ball_poly, pin_integer_coeffs
+from .exactlin import additive_compound2, char_poly
 from .exceptions import (
     CollisionUnresolved,
     NoCandidateMatches,
-    NotSpecial,
     PrecisionExhausted,
     VerificationFailed,
 )
-from .intpoly import IntPoly, discriminant, factor_over_z, is_squarefree
-from .salem import classify_special
+from .intpoly import discriminant, factor_over_z, is_squarefree
+from .salem import ALL_PAIRS, OCTET_TRIPLES, SexticAnalysis
 
 # root labels: (0,1) unit pair, (2,3) and (4,5) the off-circle pairs
 PAIRS = ((0, 1), (2, 3), (4, 5))
@@ -55,14 +46,8 @@ _PAIR_OF = (0, 0, 1, 1, 2, 2)
 IDENTITY = (0, 1, 2, 3, 4, 5)
 CONJUGATION = (1, 0, 5, 4, 3, 2)
 
-ALL_PAIRS = tuple(itertools.combinations(range(6), 2))
 RECIPROCAL_BLOCK = frozenset(PAIRS)
-# one root from each pair, unordered / ordered
-OCTET_TRIPLES = tuple(
-    t
-    for t in itertools.combinations(range(6), 3)
-    if len({_PAIR_OF[i] for i in t}) == 3
-)
+# one root from each pair, ordered (OCTET_TRIPLES are the unordered ones)
 ORDERED_TRIPLES = tuple(
     t
     for t in itertools.permutations(range(6), 3)
@@ -274,10 +259,6 @@ def candidate_groups():
         _predicted("G48", w),
     )
     for g in groups:
-        if len({_act_pair(x, (0, 1)) for x in g.elements} | {
-            (min(x[0], x[1]), max(x[0], x[1])) for x in g.elements
-        }) == 0:
-            raise VerificationFailed("empty orbit")  # unreachable guard
         orbit0 = {w_[0] for w_ in g.elements}
         if len(orbit0) != 6:
             raise VerificationFailed(f"candidate {g.label} is not transitive")
@@ -297,118 +278,31 @@ def _perfect_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
-def _root_box(p: IntPoly, precision_bits: int = 128):
-    return [isolate_roots(p, Fraction(1, 1 << max(24, precision_bits)))]
-
-
-def _pair_value(box, i, j, c):
-    def current():
-        r = box[0].roots
-        b = r[i] * r[j]
-        if c:
-            b = b + (r[i] + r[j]) * ComplexBall.exact(c)
-        return b
-
-    def refine_fn(target):
-        while True:
-            b = current()
-            if b.rad <= target:
-                return b
-            box[0] = box[0].refine(box[0].eps / 16)
-
-    return CertValue(current(), refine_fn, tag=(i, j))
-
-
-def _partition_from_match(match):
-    groups = {}
-    for k, (fi, _slot) in enumerate(match):
-        groups.setdefault(fi, []).append(ALL_PAIRS[k])
-    out = [frozenset(v) for v in groups.values()]
-    return tuple(sorted(out, key=lambda o: (len(o), min(o))))
-
-
-def _pair_orbit_data(p: IntPoly, box, c_max: int):
-    """Exact orbit partition of the 15 pairs plus the resolvent used.
-
-    The plain exterior square is conclusive when the only repeated
-    factor is (t-1)^3 from the three reciprocal pairs.  Any other
-    repetition means two orbits share a value set, and the products are
-    re-separated by adding c times the pair sum.
-    """
-    a = companion(p)
-    w2 = wedge_power(a, 2)
-    one = IntPoly.parse("-1,1")
-    fl0 = factor_over_z(char_poly(w2))
-    conclusive = all(
-        (m == 3 and f == one) or (m == 1 and f != one) for f, m in fl0
-    )
-    if conclusive:
-        values = [_pair_value(box, i, j, 0) for i, j in ALL_PAIRS]
-        match = certify_value_match(values, fl0)
-        return _partition_from_match(match), ("pair-products", 0)
-    addc = additive_compound2(a)
-    for c in range(1, c_max + 1):
-        resolvent = char_poly(w2 + addc * c)
-        if not is_squarefree(resolvent):
-            continue
-        fl = factor_over_z(resolvent)
-        values = [_pair_value(box, i, j, c) for i, j in ALL_PAIRS]
-        match = certify_value_match(values, fl)
-        return _partition_from_match(match), ("shifted pair-products", c)
-    raise CollisionUnresolved(f"no shift c <= {c_max} separates the pair values")
-
-
-def pair_orbit_partition(p: IntPoly, c_max: int = 100, precision_bits: int = 128):
+def pair_orbit_partition(p, c_max: int = 100, precision_bits: int = 128):
     """Galois orbit partition of the 15 unordered root-index pairs."""
-    cls = classify_special(p)
-    if not cls.is_special:
-        raise NotSpecial(p.format())
-    partition, _used = _pair_orbit_data(p, _root_box(p, precision_bits), c_max)
+    partition, _route = SexticAnalysis.of(p).pair_orbits(c_max, precision_bits)
     return partition
 
 
-def octet_data(p: IntPoly, box=None):
+def octet_data(p):
     """(T8, triples, owners): the degree-8 resolvent of one-per-pair
     triple products, the 8 triples, and the irreducible factor owning
     each triple's product.  A triple owns (t-1) exactly when its
     product is certified to be 1."""
-    a = companion(p)
-    w3 = char_poly(wedge_power(a, 3))
-    p2 = p * p
-    t8 = w3.div_exact(p2)
-    if t8.degree != 8:
-        raise VerificationFailed("cube resolvent did not split off the square")
-    if box is None:
-        box = _root_box(p)
-
-    def value(t):
-        def current():
-            r = box[0].roots
-            return r[t[0]] * r[t[1]] * r[t[2]]
-
-        def refine_fn(target):
-            while True:
-                b = current()
-                if b.rad <= target:
-                    return b
-                box[0] = box[0].refine(box[0].eps / 16)
-
-        return CertValue(current(), refine_fn, tag=t)
-
-    fl = factor_over_z(t8)
-    match = certify_value_match([value(t) for t in OCTET_TRIPLES], fl)
-    owners = tuple(fl.factors[fi][0] for fi, _slot in match)
+    sx = SexticAnalysis.of(p)
+    sx.require_special()
+    t8, _factors, owners = sx.octet
     return t8, OCTET_TRIPLES, owners
 
 
-def _theta_balls(box, s):
+def _theta_balls(sx: SexticAnalysis, s):
     s1 = ComplexBall.exact(s)
     s2 = ComplexBall.exact(s * s)
-    r = box[0].roots
+    r = sx.roots.roots
     return [r[a] + r[b] * s1 + r[c] * s2 for a, b, c in ORDERED_TRIPLES]
 
 
-def _triple_resolvent(p: IntPoly, box, s_max: int = 100):
+def _triple_resolvent(sx: SexticAnalysis, s_max: int = 100):
     """Integer polynomial with one root per ordered one-per-pair triple,
     theta = zeta_a + s zeta_b + s^2 zeta_c; W permutes the 48 thetas
     freely, so each irreducible factor has degree exactly |G|.
@@ -419,12 +313,12 @@ def _triple_resolvent(p: IntPoly, box, s_max: int = 100):
     48 ordered values repeats six times."""
     for s in range(2, s_max + 1):
         for _round in range(24):
-            balls = _theta_balls(box, s)
+            balls = _theta_balls(sx, s)
             coeffs = expand_ball_poly(balls)
             status, out = pin_integer_coeffs(coeffs)
             if status == "ok":
                 break
-            box[0] = box[0].refine(box[0].eps / (1 << 48))
+            sx.refine_roots(sx.roots.eps / (1 << 48))
         else:
             raise PrecisionExhausted("triple resolvent coefficients did not pin")
         if is_squarefree(out):
@@ -432,7 +326,7 @@ def _triple_resolvent(p: IntPoly, box, s_max: int = 100):
     raise CollisionUnresolved(f"no shift s <= {s_max} separates the triple values")
 
 
-def galois_class(p: IntPoly, c_max: int = 100, precision_bits: int = 128) -> GaloisReport:
+def galois_class(p, c_max: int = 100, precision_bits: int = 128) -> GaloisReport:
     """Galois class of a special sextic among the five candidates.
 
     Order comes from the ordered-triple resolvent (all factor degrees
@@ -440,32 +334,24 @@ def galois_class(p: IntPoly, c_max: int = 100, precision_bits: int = 128) -> Gal
     and the square class of disc(p) disc(q) discriminates the order-24
     class from the full group; every piece is recorded as evidence.
     """
-    cls = classify_special(p)
-    if not cls.is_special:
-        raise NotSpecial(p.format())
-    box = _root_box(p, precision_bits)
-    a = companion(p)
-
-    partition, pair_used = _pair_orbit_data(p, box, c_max)
+    sx = SexticAnalysis.of(p)
+    cls = sx.require_special()
+    partition, pair_used = sx.pair_orbits(c_max, precision_bits)
     orbit_sizes = tuple(sorted(len(o) for o in partition))
     if sum(orbit_sizes) != 15 or RECIPROCAL_BLOCK not in partition:
         raise VerificationFailed("pair orbits do not contain the reciprocal block")
 
-    w2_degrees = tuple(sorted(factor_over_z(char_poly(wedge_power(a, 2))).degrees()))
-    w3_fl = factor_over_z(char_poly(wedge_power(a, 3)))
-    w3_degrees = tuple(sorted(w3_fl.degrees()))
-    t8, triples, owners = octet_data(p, box)
-    t8_degrees = tuple(sorted(factor_over_z(t8).degrees()))
-    one = IntPoly.parse("-1,1")
-    ap_triples = tuple(t for t, f in zip(triples, owners) if f == one)
+    w2_degrees = tuple(sorted(sx.wedge2_factors.degrees()))
+    w3_degrees = tuple(sorted(factor_over_z(sx.wedge3_char_poly).degrees()))
+    t8_degrees = tuple(sorted(sx.octet[1].degrees()))
 
-    pair_sum = char_poly(additive_compound2(a))
+    pair_sum = char_poly(additive_compound2(sx.companion_matrix))
     if is_squarefree(pair_sum):
         pair_sum_entry = tuple(sorted(factor_over_z(pair_sum).degrees()))
     else:
         pair_sum_entry = "collision, skipped"
 
-    r48, s_used = _triple_resolvent(p, box)
+    r48, s_used = _triple_resolvent(sx)
     r48_degrees = tuple(sorted(factor_over_z(r48).degrees()))
     orders = set(r48_degrees)
     if len(orders) != 1:
@@ -479,7 +365,7 @@ def galois_class(p: IntPoly, c_max: int = 100, precision_bits: int = 128) -> Gal
         raise NoCandidateMatches("a pair orbit size does not divide the order")
 
     q = cls.trace_poly
-    disc_p, disc_q = discriminant(p), discriminant(q)
+    disc_p, disc_q = discriminant(sx.poly), discriminant(q)
     in_mixed_kernel = _perfect_square(disc_p * disc_q)
     square_classes = (
         ("disc(p)", _perfect_square(disc_p)),
@@ -499,7 +385,7 @@ def galois_class(p: IntPoly, c_max: int = 100, precision_bits: int = 128) -> Gal
         and g.pair_orbit_sizes == orbit_sizes
         and g.sign_product_square == in_mixed_kernel
     ]
-    if ap_triples:
+    if sx.product_one_triples:
         matches = [g for g in matches if g.label in ("H6", "G12")]
     if not matches:
         raise NoCandidateMatches(

@@ -18,26 +18,33 @@ on the unit circle and pairs of roots certified mutually inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .certroots import (
     CertValue,
+    ComplexBall,
+    RootSystem,
     certify_value_match,
+    derived_value,
     isolate_roots,
 )
 from .exactlin import (
     IntMatrix,
+    additive_compound2,
     char_poly,
     companion,
     det,
-    minimal_polynomial,
     wedge_power,
 )
 from .exceptions import (
     ClassificationRequired,
+    CollisionUnresolved,
     EndpointIsRoot,
     InputError,
+    NotSpecial,
     NotUnimodular,
     OddDegreeRequested,
     PrecisionExhausted,
@@ -50,9 +57,20 @@ from .intpoly import (
     count_real_roots,
     factor_over_z,
     is_irreducible,
+    is_squarefree,
     real_root_enclosure,
+    squarefree_part,
     sturm_count,
 )
+
+# canonical root labels of a special sextic: (0,1) the unit pair, (2,3) and
+# (4,5) the reciprocal off-circle pairs
+ALL_PAIRS = tuple(itertools.combinations(range(6), 2))
+# one root from each reciprocal pair
+OCTET_TRIPLES = tuple(
+    t for t in itertools.combinations(range(6), 3) if len({i // 2 for i in t}) == 3
+)
+_ONE_ROOT = IntPoly.parse("-1,1")
 
 _CONDITIONS = (
     "monic",
@@ -71,6 +89,8 @@ class SpecialClassification:
     trace_poly: IntPoly | None
     real_trace_root_interval: tuple | None  # (lo, hi) Fractions
     subcase: str | None
+    # the special-canonical root system isolated while checking the pattern
+    roots: RootSystem | None = field(default=None, repr=False, compare=False)
 
     def failed(self):
         return [name for name, ok in self.reasons if not ok]
@@ -116,6 +136,7 @@ def classify_special(p: IntPoly) -> SpecialClassification:
 
     special = all(checks[name] for name in _CONDITIONS)
     subcase = None
+    rs = None
     if special:
         rs = isolate_roots(p, Fraction(1, 1 << 24))
         if rs.labeling != "special-canonical":
@@ -131,7 +152,154 @@ def classify_special(p: IntPoly) -> SpecialClassification:
         trace_poly=q,
         real_trace_root_interval=interval,
         subcase=subcase,
+        roots=rs,
     )
+
+
+def _partition_from_match(match):
+    groups = {}
+    for pair, (fi, _slot) in zip(ALL_PAIRS, match):
+        groups.setdefault(fi, set()).add(pair)
+    return tuple(sorted(map(frozenset, groups.values()), key=lambda o: (len(o), min(o))))
+
+
+class SexticAnalysis:
+    """The facts about one sextic that questions on it read, each computed
+    on first use and kept.  The questions on special sextics accept an
+    analysis in place of the IntPoly, so one analysis passed to several
+    of them shares their work.  ``roots`` is the classification's
+    special-canonical root system, refined in place as values need it.
+    """
+
+    def __init__(self, p: IntPoly, classification: SpecialClassification | None = None):
+        """classification, when given, must be classify_special(p)."""
+        self.poly = p
+        self._pair_orbits = None
+        if classification is not None:
+            self.classification = classification
+
+    @classmethod
+    def of(cls, p) -> "SexticAnalysis":
+        """p itself when it is an analysis, else a fresh analysis of p."""
+        return p if isinstance(p, cls) else cls(p)
+
+    @cached_property
+    def classification(self) -> SpecialClassification:
+        return classify_special(self.poly)
+
+    def require_special(self) -> SpecialClassification:
+        cls = self.classification
+        if not cls.is_special:
+            raise NotSpecial(self.poly.format())
+        return cls
+
+    @cached_property
+    def roots(self) -> RootSystem:
+        return self.require_special().roots
+
+    def refine_roots(self, eps=None):
+        """Refine the shared roots to radius eps, by default eps / 16."""
+        self.roots = self.roots.refine(self.roots.eps / 16 if eps is None else eps)
+
+    def refine_to_bits(self, precision_bits: int):
+        """Make the root radius at most 2^-max(24, precision_bits)."""
+        eps = Fraction(1, 1 << max(24, precision_bits))
+        if self.roots.eps > eps:
+            self.refine_roots(eps)
+
+    def pair_value(self, i, j, c=0) -> CertValue:
+        """root_i * root_j + c * (root_i + root_j), shrinkable."""
+
+        def current():
+            r = self.roots.roots
+            b = r[i] * r[j]
+            if c:
+                b = b + (r[i] + r[j]) * ComplexBall.exact(c)
+            return b
+
+        return derived_value(current, self.refine_roots, tag=(i, j))
+
+    def triple_value(self, t) -> CertValue:
+        def current():
+            r = self.roots.roots
+            return r[t[0]] * r[t[1]] * r[t[2]]
+
+        return derived_value(current, self.refine_roots, tag=t)
+
+    @cached_property
+    def companion_matrix(self) -> IntMatrix:
+        return companion(self.poly)
+
+    @cached_property
+    def wedge2_factors(self):
+        """Factorization of char_poly(wedge^2), whose roots are the 15 pair
+        products."""
+        return factor_over_z(char_poly(wedge_power(self.companion_matrix, 2)))
+
+    @cached_property
+    def wedge2_match(self):
+        """The (factor, slot) of each plain pair product, in ALL_PAIRS order."""
+        values = [self.pair_value(i, j) for i, j in ALL_PAIRS]
+        return certify_value_match(values, self.wedge2_factors)
+
+    def pair_orbits(self, c_max: int = 100, precision_bits: int = 128):
+        """(partition, route): the Galois orbit partition of the 15 pairs
+        and the resolvent that found it.
+
+        The plain exterior square is conclusive when the only repeated
+        factor is (t-1)^3 from the three reciprocal pairs.  Any other
+        repetition means two orbits share a value set, and the products
+        are re-separated by adding c times the pair sum, for the least
+        c that makes the resolvent squarefree.
+        """
+        if self._pair_orbits is None:
+            self.refine_to_bits(precision_bits)
+            self._pair_orbits = self._find_pair_orbits(c_max)
+        if self._pair_orbits[1][1] > c_max:
+            raise CollisionUnresolved(f"no shift c <= {c_max} separates the pair values")
+        return self._pair_orbits
+
+    def _find_pair_orbits(self, c_max: int):
+        conclusive = all(
+            (m == 3 and f == _ONE_ROOT) or (m == 1 and f != _ONE_ROOT)
+            for f, m in self.wedge2_factors
+        )
+        if conclusive:
+            return _partition_from_match(self.wedge2_match), ("pair-products", 0)
+        w2 = wedge_power(self.companion_matrix, 2)
+        addc = additive_compound2(self.companion_matrix)
+        for c in range(1, c_max + 1):
+            resolvent = char_poly(w2 + addc * c)
+            if not is_squarefree(resolvent):
+                continue
+            fl = factor_over_z(resolvent)
+            values = [self.pair_value(i, j, c) for i, j in ALL_PAIRS]
+            match = certify_value_match(values, fl)
+            return _partition_from_match(match), ("shifted pair-products", c)
+        raise CollisionUnresolved(f"no shift c <= {c_max} separates the pair values")
+
+    @cached_property
+    def wedge3_char_poly(self) -> IntPoly:
+        return char_poly(wedge_power(self.companion_matrix, 3))
+
+    @cached_property
+    def octet(self):
+        """(T8, its factorization, owners): the degree-8 resolvent of the
+        one-per-pair triple products, and the irreducible factor owning
+        the product of each triple in OCTET_TRIPLES.  A triple owns (t-1)
+        exactly when its product is certified to be 1."""
+        t8 = self.wedge3_char_poly.div_exact(self.poly * self.poly)
+        if t8.degree != 8:
+            raise VerificationFailed("cube resolvent did not split off the square")
+        fl = factor_over_z(t8)
+        match = certify_value_match([self.triple_value(t) for t in OCTET_TRIPLES], fl)
+        return t8, fl, tuple(fl.factors[fi][0] for fi, _slot in match)
+
+    @cached_property
+    def product_one_triples(self) -> frozenset:
+        """The octet triples whose root product is certified to be 1."""
+        owners = self.octet[2]
+        return frozenset(t for t, f in zip(OCTET_TRIPLES, owners) if f == _ONE_ROOT)
 
 
 def is_salem(p: IntPoly) -> SalemCertificate:
@@ -152,8 +320,9 @@ def is_salem(p: IntPoly) -> SalemCertificate:
     q = p.trace_polynomial()
     bound = cauchy_bound(q) + 1
     # q(2) = 0 would force p(1) = 0, impossible for irreducible p of
-    # degree >= 2, so the endpoints are safe
-    gt2 = sturm_count(q, 2, bound)
+    # degree >= 2, so the endpoints are safe; no root of q lies above a
+    # bound <= 2
+    gt2 = sturm_count(q, 2, bound) if bound > 2 else 0
     inside = sturm_count(q, -2, 2)
     ok = gt2 == 1 and inside == k - 1
     lam = None
@@ -280,20 +449,22 @@ class _Spectrum:
         rs = self.systems[fi]
         self.systems[fi] = rs.refine(rs.eps / 16)
 
-    def modsq_value(self, fi, si) -> CertValue:
-        """Shrinkable disk for |root|^2 = root * conj(root)."""
-        cj = self.conj_slot(fi, si)
+    def product_value(self, a, b) -> CertValue:
+        """Shrinkable disk for the product of the roots at instances a and
+        b; with b the conjugate of a, for |root_a|^2."""
 
-        def refine_fn(target):
-            while True:
-                rs = self.systems[fi]
-                b = rs.roots[si] * rs.roots[cj]
-                if b.rad <= target:
-                    return b
-                self.refine(fi)
+        def current():
+            return self.ball(*a) * self.ball(*b)
 
-        rs = self.systems[fi]
-        return CertValue(rs.roots[si] * rs.roots[cj], refine_fn, tag=(fi, si))
+        def refine():
+            self.refine(a[0])
+            if b[0] != a[0]:
+                self.refine(b[0])
+
+        return derived_value(current, refine, tag=(a, b))
+
+    def conj_instance(self, fi, si):
+        return (fi, self.conj_slot(fi, si))
 
     def inverse_partner(self, fi, si):
         """(gi, sj) of the root equal to 1 / this root, or None.
@@ -331,36 +502,32 @@ class _Spectrum:
         return None
 
 
-def _locate_value(value: CertValue, spectrum_like, rounds=80):
-    """(factor_index, slot) of the unique root equal to the value, given
-    that the value is a root of the factored polynomial."""
-    fl, systems, refine = spectrum_like
-    target = Fraction(1, 1 << 24)
-    for _ in range(rounds):
-        hits = []
-        for fi, (f, _m) in enumerate(fl):
-            for si in range(f.degree):
-                if not value.ball.is_disjoint(systems[fi].roots[si]):
-                    hits.append((fi, si))
-        if not hits:
-            raise VerificationFailed("value matches no root of the resolvent")
-        if len(hits) == 1:
-            return hits[0]
-        target = target / 4
-        value.shrink(target)
-        for fi in {fi for fi, _ in hits}:
-            refine(fi, target)
-    raise PrecisionExhausted("value location did not stabilize")
-
-
-def _factored_systems(poly: IntPoly):
+def _root_locator(poly: IntPoly, rounds=80):
+    """A function taking a CertValue known to be a root of poly to the
+    (irreducible factor, slot) of that root; calls share the root disks."""
     fl = factor_over_z(poly)
     systems = [isolate_roots(f, Fraction(1, 1 << 24)) for f, _m in fl]
 
-    def refine(fi, target):
-        systems[fi] = systems[fi].refine(target)
+    def locate(value: CertValue):
+        target = Fraction(1, 1 << 24)
+        for _ in range(rounds):
+            hits = [
+                (fi, si)
+                for fi, (f, _m) in enumerate(fl)
+                for si in range(f.degree)
+                if not value.ball.is_disjoint(systems[fi].roots[si])
+            ]
+            if not hits:
+                raise VerificationFailed("value matches no root of the resolvent")
+            if len(hits) == 1:
+                return fl.factors[hits[0][0]][0], hits[0][1]
+            target = target / 4
+            value.shrink(target)
+            for fi in {fi for fi, _ in hits}:
+                systems[fi] = systems[fi].refine(target)
+        raise PrecisionExhausted("value location did not stabilize")
 
-    return fl, systems, refine
+    return locate
 
 
 def square_value_poly(f: IntPoly) -> IntPoly:
@@ -376,16 +543,21 @@ def square_value_poly(f: IntPoly) -> IntPoly:
     return w
 
 
+def _diagonalizable_min_poly(a: IntMatrix) -> IntPoly:
+    # a wedge power or kron product of companions of squarefree polynomials
+    # is diagonalizable, so its minimal polynomial is the char poly's radical
+    return squarefree_part(char_poly(a))
+
+
 def _min_poly_of_modsq(spec: _Spectrum, fi, si) -> IntPoly:
     """Exact minimal polynomial of |root|^2 for one spectrum slot."""
     f = spec.fl.factors[fi][0]
-    v = spec.modsq_value(fi, si)
+    v = spec.product_value((fi, si), spec.conj_instance(fi, si))
     if spec.is_real(fi, si):
-        triple = _factored_systems(square_value_poly(f))
+        poly = square_value_poly(f)
     else:
-        triple = _factored_systems(minimal_polynomial(wedge_power(companion(f), 2)))
-    loc = _locate_value(v, triple)
-    return triple[0].factors[loc[0]][0]
+        poly = _diagonalizable_min_poly(wedge_power(companion(f), 2))
+    return _root_locator(poly)(v)[0]
 
 
 def _equal_modsq(spec: _Spectrum, a, b) -> bool:
@@ -395,10 +567,9 @@ def _equal_modsq(spec: _Spectrum, a, b) -> bool:
     mb = _min_poly_of_modsq(spec, *b)
     if ma != mb:
         return False
-    triple = _factored_systems(ma)
-    la = _locate_value(spec.modsq_value(*a), triple)
-    lb = _locate_value(spec.modsq_value(*b), triple)
-    return la == lb
+    locate = _root_locator(ma)
+    la = locate(spec.product_value(a, spec.conj_instance(*a)))
+    return la == locate(spec.product_value(b, spec.conj_instance(*b)))
 
 
 def _cmp_moduli(spec: _Spectrum, a, b) -> int:
@@ -412,7 +583,7 @@ def _cmp_moduli(spec: _Spectrum, a, b) -> int:
         return 1 if cb == "lt1" else -1
     if cb == "eq1":
         return -1 if ca == "lt1" else 1
-    if (a[0], spec.conj_slot(*a)) == b:
+    if spec.conj_instance(*a) == b:
         return 0  # conjugate roots share modulus
     for round_ in range(48):
         lo_a, hi_a = spec.ball(*a).modulus_interval()
@@ -469,7 +640,7 @@ def _window_product_is_one(spec: _Spectrum, window) -> bool:
         if partner is None:
             return False
         # the partner or its conjugate twin works; conjugates share modulus
-        twin = (partner[0], spec.conj_slot(*partner))
+        twin = spec.conj_instance(*partner)
         if partner in remaining:
             remaining.remove(partner)
         elif twin in remaining:
@@ -537,7 +708,13 @@ def dynamical_degrees(A: IntMatrix, n: int) -> DegreeReport:
 
 def _salem_first(spec: _Spectrum, order) -> bool:
     """Whether the first dynamical degree (product of the top two moduli)
-    is a Salem number, by pinning its exact minimal polynomial."""
+    is a Salem number, by pinning its exact minimal polynomial.
+
+    It can differ from ``first_dynamical_degree_salem`` on reducible
+    sextics: for p = (x^2-3x+1)(x^4-5x^3+7x^2-5x+1) the top two moduli are
+    the real Salem roots of the two factors, and their product is not a
+    Salem number (False here), while alpha^2 is (True there).
+    """
     a, b = order[0], order[1]
     if spec.is_eq1(*a) and spec.is_eq1(*b):
         return False  # lambda_1 = 1
@@ -547,52 +724,26 @@ def _salem_first(spec: _Spectrum, order) -> bool:
             return is_salem(spec.fl.factors[a[0]][0]).is_salem
         m = _min_poly_of_modsq(spec, *a)
         # minimal polynomial of the modulus divides m(y^2)
-        lifted = IntPoly(
-            tuple(
-                m.coeffs[i // 2] if i % 2 == 0 else 0
-                for i in range(2 * len(m.coeffs) - 1)
-            )
-        )
-        lo, hi = _modulus_interval_tight(spec, a, Fraction(1, 1 << 24))
-        from .certroots import ComplexBall
+        lifted = IntPoly(tuple(x for c in m.coeffs for x in (c, 0))[:-1])
+        _modulus_interval_tight(spec, a, Fraction(1, 1 << 24))
 
-        def refine_fn(target):
-            lo2, hi2 = _modulus_interval_tight(spec, a, 2 * target)
-            return ComplexBall((lo2 + hi2) / 2, Fraction(0), (hi2 - lo2) / 2)
+        def modulus():
+            lo, hi = spec.ball(*a).modulus_interval()
+            return ComplexBall((lo + hi) / 2, Fraction(0), (hi - lo) / 2)
 
-        v = CertValue(
-            ComplexBall((lo + hi) / 2, Fraction(0), (hi - lo) / 2), refine_fn
-        )
-        triple = _factored_systems(lifted)
-        loc = _locate_value(v, triple)
-        return is_salem(triple[0].factors[loc[0]][0]).is_salem
+        v = derived_value(modulus, lambda: spec.refine(a[0]))
+        return is_salem(_root_locator(lifted)(v)[0]).is_salem
     # both top ranks off the circle
-    if b == (a[0], spec.conj_slot(*a)) or (spec.is_real(*a) and a == b):
+    if b == spec.conj_instance(*a) or (spec.is_real(*a) and a == b):
         m = _min_poly_of_modsq(spec, *a)
         return is_salem(m).is_salem
     if spec.is_real(*a) and spec.is_real(*b):
         # product of two real eigenvalues; take the modulus of the product
-        sa = spec
-
-        def refine_fn(target):
-            while True:
-                ball = sa.systems[a[0]].roots[a[1]] * sa.systems[b[0]].roots[b[1]]
-                if ball.rad <= target:
-                    return ball
-                sa.refine(a[0])
-                if b[0] != a[0]:
-                    sa.refine(b[0])
-
-        ball = sa.systems[a[0]].roots[a[1]] * sa.systems[b[0]].roots[b[1]]
-        v = CertValue(ball, refine_fn)
+        v = spec.product_value(a, b)
         fa = spec.fl.factors[a[0]][0]
         fb = spec.fl.factors[b[0]][0]
-        prod_poly = _real_pair_product_poly(fa, fb, a[0] == b[0])
-        triple = _factored_systems(prod_poly)
-        loc = _locate_value(v, triple)
-        m = triple[0].factors[loc[0]][0]
-        lo, _hi = v.ball.re - v.ball.rad, v.ball.re + v.ball.rad
-        if lo < 0:
+        m, _slot = _root_locator(_real_pair_product_poly(fa, fb, a[0] == b[0]))(v)
+        if v.ball.re - v.ball.rad < 0:
             m = m.negate_variable()
             if m.lc < 0:
                 m = -m
@@ -604,93 +755,47 @@ def _real_pair_product_poly(fa: IntPoly, fb: IntPoly, same: bool) -> IntPoly:
     """A polynomial whose roots include all pairwise products of a root of
     fa and a root of fb (distinct slots when same factor)."""
     if same:
-        return minimal_polynomial(wedge_power(companion(fa), 2))
-    A = companion(fa)
-    B = companion(fb)
-    return minimal_polynomial(A.kron(B))
+        return _diagonalizable_min_poly(wedge_power(companion(fa), 2))
+    return _diagonalizable_min_poly(companion(fa).kron(companion(fb)))
 
 
 # ---------------------------------------------------------------------------
 # first dynamical degree for sextic torus models
 
 
-def first_dynamical_degree_salem(p: IntPoly) -> bool:
+def first_dynamical_degree_salem(p) -> bool:
     """Whether the first dynamical degree of the 3-torus automorphism with
     analytic eigenvalue data from p is a Salem number: the exact minimal
     polynomial of alpha*conj(alpha), alpha a largest-modulus root, is
-    matched out of the exterior-square factorization and tested."""
-    cls = classify_special(p)
-    if cls.is_special:
-        rs = isolate_roots(p, Fraction(1, 1 << 24))
-        box = [rs]
-
-        def pair_value(i, j):
-            def refine_fn(target):
-                while True:
-                    ball = box[0].roots[i] * box[0].roots[j]
-                    if ball.rad <= target:
-                        return ball
-                    box[0] = box[0].refine(box[0].eps / 16)
-
-            return CertValue(box[0].roots[i] * box[0].roots[j], refine_fn, tag=(i, j))
-
-        resolvent = char_poly(wedge_power(companion(p), 2))
-        fl = factor_over_z(resolvent)
-        import itertools
-
-        values = [pair_value(i, j) for i, j in itertools.combinations(range(6), 2)]
-        match = certify_value_match(values, fl)
+    matched out of the exterior-square factorization and tested.  A real
+    alpha is matched out of the square resolvent instead, so alpha^2 is
+    tested.  On reducible sextics this can differ from the ``salem_first``
+    of ``dynamical_degrees``, which tests the product of the two largest
+    moduli: for p = (x^2-3x+1)(x^4-5x^3+7x^2-5x+1) this says True and
+    ``salem_first`` False.  On special sextics the two agree.
+    """
+    sx = SexticAnalysis.of(p)
+    if sx.classification.is_special:
         # alpha = root 2 (modulus > 1, Im > 0), conj is root 5
-        idx = list(itertools.combinations(range(6), 2)).index((2, 5))
-        owner = fl.factors[match[idx][0]][0]
-        return is_salem(owner).is_salem
+        fi, _slot = sx.wedge2_match[ALL_PAIRS.index((2, 5))]
+        return is_salem(sx.wedge2_factors.factors[fi][0]).is_salem
+    p = sx.poly
     if p.degree == 6 and p.is_monic() and abs(p[0]) == 1 and not is_irreducible(p):
         spec = _Spectrum(p)
         order, _ = _sorted_instances(spec)
-        top = order[0]
-        f = spec.fl.factors[top[0]][0]
-        if spec.is_real(*top):
-            w = square_value_poly(f)
-            fl = factor_over_z(w)
-            rs_box = [spec.systems[top[0]]]
-
-            def sq_value(si):
-                def refine_fn(target):
-                    while True:
-                        ball = rs_box[0].roots[si] * rs_box[0].roots[si]
-                        if ball.rad <= target:
-                            return ball
-                        rs_box[0] = rs_box[0].refine(rs_box[0].eps / 16)
-
-                return CertValue(
-                    rs_box[0].roots[si] * rs_box[0].roots[si], refine_fn, tag=si
-                )
-
-            values = [sq_value(si) for si in range(f.degree)]
-            match = certify_value_match(values, fl)
-            owner = fl.factors[match[top[1]][0]][0]
-            return is_salem(owner).is_salem
-        resolvent = char_poly(wedge_power(companion(f), 2))
-        fl = factor_over_z(resolvent)
-        rs_box = [spec.systems[top[0]]]
-
-        def pv(i, j):
-            def refine_fn(target):
-                while True:
-                    ball = rs_box[0].roots[i] * rs_box[0].roots[j]
-                    if ball.rad <= target:
-                        return ball
-                    rs_box[0] = rs_box[0].refine(rs_box[0].eps / 16)
-
-            return CertValue(rs_box[0].roots[i] * rs_box[0].roots[j], refine_fn)
-
-        import itertools
-
-        pairs = list(itertools.combinations(range(f.degree), 2))
-        values = [pv(i, j) for i, j in pairs]
+        fi, si = order[0]
+        f = spec.fl.factors[fi][0]
+        if spec.is_real(fi, si):
+            fl = factor_over_z(square_value_poly(f))
+            pairs = [(k, k) for k in range(f.degree)]
+            top = (si, si)
+        else:
+            fl = factor_over_z(char_poly(wedge_power(companion(f), 2)))
+            pairs = list(itertools.combinations(range(f.degree), 2))
+            top = tuple(sorted((si, spec.conj_slot(fi, si))))
+        values = [spec.product_value((fi, i), (fi, j)) for i, j in pairs]
         match = certify_value_match(values, fl)
-        idx = pairs.index(tuple(sorted((top[1], spec.conj_slot(*top)))))
-        owner = fl.factors[match[idx][0]][0]
+        owner = fl.factors[match[pairs.index(top)][0]][0]
         return is_salem(owner).is_salem
     raise ClassificationRequired(
         "input must classify special or be a reducible monic unimodular sextic"

@@ -22,10 +22,8 @@ combinatorics and the Galois orbit data:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 
-from .certroots import isolate_roots
 from .exactlin import (
     IntMatrix,
     Lattice,
@@ -42,19 +40,22 @@ from .exceptions import (
     InadmissibleTriple,
     InputError,
     NoDecomposition,
-    NotSpecial,
     NotUnimodular,
     VerificationFailed,
 )
-from .galois import ALL_PAIRS, OCTET_TRIPLES, octet_data, pair_orbit_partition
+from .galois import ALL_PAIRS, pair_orbit_partition
 from .intpoly import IntPoly, factor_over_z, is_irreducible
-from .salem import SalemCertificate, classify_special, dynamical_degrees, gross_mcmullen, is_salem
+from .salem import (
+    SalemCertificate,
+    SexticAnalysis,
+    dynamical_degrees,
+    gross_mcmullen,
+    is_salem,
+)
 
 # canonical root labels: 0,1 the unit-circle pair, 2 and 5 the large pair,
 # 3 and 4 the small pair; conjugation swaps each of these
 CONJUGATION_PAIRS = ((0, 1), (2, 5), (3, 4))
-
-_ONE_ROOT = IntPoly.parse("-1,1")
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,7 @@ class TorusModel:
     triple: tuple
     roots: object
     ap_flag: bool
+    analysis: SexticAnalysis = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -99,12 +101,7 @@ class ProductTorusModel:
     salem: SalemCertificate
 
 
-def _ap_set(p: IntPoly):
-    _t8, triples, owners = octet_data(p)
-    return frozenset(t for t, f in zip(triples, owners) if f == _ONE_ROOT)
-
-
-def admissible_triples(p: IntPoly):
+def admissible_triples(p):
     """All 8 choices of one root index per conjugate pair, each tagged
     with whether its root product is certified to be 1.
 
@@ -112,10 +109,9 @@ def admissible_triples(p: IntPoly):
     root, never 1 for an irreducible sextic, so only choices that also
     pick one root per reciprocal pair can carry the tag.
     """
-    cls = classify_special(p)
-    if not cls.is_special:
-        raise NotSpecial(p.format())
-    ap = _ap_set(p)
+    sx = SexticAnalysis.of(p)
+    sx.require_special()
+    ap = sx.product_one_triples
     out = [
         (tuple(sorted(sel)), tuple(sorted(sel)) in ap)
         for sel in itertools.product(*CONJUGATION_PAIRS)
@@ -135,21 +131,22 @@ def _check_admissible(triple):
     return t
 
 
-def standard_construction(p: IntPoly, triple, precision_bits: int = 128) -> TorusModel:
+def standard_construction(p, triple, precision_bits: int = 128) -> TorusModel:
     """The torus model with lattice ZZ^6, action the companion matrix of
     p, and complex structure selecting the triple's roots as holomorphic
-    eigenvalues."""
-    cls = classify_special(p)
-    if not cls.is_special:
-        raise NotSpecial(p.format())
+    eigenvalues.  The model keeps the sextic's analysis, so
+    ``picard_number`` on it reuses the work done here."""
+    sx = SexticAnalysis.of(p)
+    sx.require_special()
     t = _check_admissible(triple)
-    roots = isolate_roots(p, Fraction(1, 1 << max(24, precision_bits)))
+    sx.refine_to_bits(precision_bits)
     return TorusModel(
-        poly=p,
-        action=companion(p),
+        poly=sx.poly,
+        action=sx.companion_matrix,
         triple=t,
-        roots=roots,
-        ap_flag=t in _ap_set(p),
+        roots=sx.roots,
+        ap_flag=t in sx.product_one_triples,
+        analysis=sx,
     )
 
 
@@ -179,17 +176,18 @@ def picard_number(model: TorusModel, c_max: int = 100, precision_bits: int = 128
     eigenvalue-1 classes correctly: the three reciprocal pairs form one
     orbit, contributing 3 when all three are (1,1) and 0 otherwise.
     """
-    partition = pair_orbit_partition(model.poly, c_max, precision_bits)
+    partition = pair_orbit_partition(model.analysis, c_max, precision_bits)
     return _picard_from_partition(partition, model.triple)
 
 
-def picard_table(p: IntPoly, c_max: int = 100, precision_bits: int = 128):
+def picard_table(p, c_max: int = 100, precision_bits: int = 128):
     """Picard reports for all 8 admissible triples, sharing one orbit
     computation.  Returns ((triple, ap_flag, PicardReport), ...)."""
-    partition = pair_orbit_partition(p, c_max, precision_bits)
+    sx = SexticAnalysis.of(p)
+    partition = pair_orbit_partition(sx, c_max, precision_bits)
     return tuple(
         (t, flag, _picard_from_partition(partition, t))
-        for t, flag in admissible_triples(p)
+        for t, flag in admissible_triples(sx)
     )
 
 
@@ -198,13 +196,6 @@ def fibration_exists(p: IntPoly) -> bool:
     admits an equivariant holomorphic fibration: equivalent to p being
     reducible over the integers."""
     return not is_irreducible(p)
-
-
-def _poly_pow(f: IntPoly, k: int) -> IntPoly:
-    out = IntPoly.parse("1")
-    for _ in range(k):
-        out = out * f
-    return out
 
 
 def _restriction_char(action: IntMatrix, lat: Lattice) -> IntPoly:
@@ -255,12 +246,12 @@ def build_fibrations(action: IntMatrix) -> FibrationReport:
     from .intpoly import ext_gcd_rational
 
     q1, k1 = mfl[0]
-    m1 = _poly_pow(q1, k1)
+    m1 = q1**k1
     m2 = m.div_exact(m1)
     f1 = IntPoly.parse("1")
     for irr, mult in factor_over_z(phi).factors:
         if irr == q1:
-            f1 = f1 * _poly_pow(irr, mult)
+            f1 = f1 * irr**mult
     f2 = phi.div_exact(f1)
     h1, h2, n = ext_gcd_rational(m1, m2)
     check = h1 * m1 + h2 * m2

@@ -1,0 +1,102 @@
+"""Sharing through the per-sextic analysis.
+
+Each public question on a special sextic classifies it once and isolates
+its roots once, and one analysis passed to several questions does both
+only once in total.  Root isolations of resolvent factors (inside value
+matching) are not counted.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from salemtori import certroots, galois, salem, torus
+from salemtori.exceptions import NotSpecial
+from salemtori.intpoly import IntPoly
+from salemtori.salem import SexticAnalysis, classify_special
+
+P1 = IntPoly.parse("1,3,5,5,5,3,1")
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    seen = {"classify": 0, "isolate": 0}
+    classify = salem.classify_special
+    isolate = certroots.isolate_roots
+
+    def counting_classify(p):
+        if p == P1:
+            seen["classify"] += 1
+        return classify(p)
+
+    def counting_isolate(p, eps):
+        if p == P1:
+            seen["isolate"] += 1
+        return isolate(p, eps)
+
+    monkeypatch.setattr(salem, "classify_special", counting_classify)
+    # certroots' own name is left alone: value matching isolates the
+    # factors of its resolvents there, and T8 of P1 has P1 as a factor
+    for module in (salem, galois, torus):
+        monkeypatch.setattr(module, "isolate_roots", counting_isolate, raising=False)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "question",
+    [torus.picard_table, galois.galois_class, salem.first_dynamical_degree_salem],
+    ids=["picard_table", "galois_class", "first_dynamical_degree_salem"],
+)
+def test_each_question_classifies_and_isolates_once(counts, question):
+    question(P1)
+    assert counts == {"classify": 1, "isolate": 1}
+
+
+def test_one_analysis_shared_by_all_questions(counts):
+    sx = SexticAnalysis(P1)
+    rep = galois.galois_class(sx)
+    table = torus.picard_table(sx)
+    assert salem.first_dynamical_degree_salem(sx) is False
+    model = torus.standard_construction(sx, (0, 2, 4))
+    pic = torus.picard_number(model)
+    assert counts == {"classify": 1, "isolate": 1}
+    # the shared answers equal fresh ones
+    assert rep == galois.galois_class(P1)
+    assert table == torus.picard_table(P1)
+    assert pic == torus.picard_number(torus.standard_construction(P1, (0, 2, 4)))
+
+
+def test_given_classification_is_reused(counts):
+    cls = classify_special(P1)
+    counts["classify"] = counts["isolate"] = 0
+    torus.picard_table(SexticAnalysis(P1, cls))
+    assert counts == {"classify": 0, "isolate": 0}
+
+
+def test_roots_refine_monotonically():
+    sx = SexticAnalysis(P1)
+    assert sx.roots.eps == Fraction(1, 1 << 24)
+    sx.refine_to_bits(128)
+    fine = sx.roots
+    assert fine.eps == Fraction(1, 1 << 128)
+    sx.refine_to_bits(64)  # coarser request: the finer roots stay
+    assert sx.roots is fine
+    assert sx.roots.labeling == "special-canonical"
+
+
+def test_plain_pair_route_needs_no_shift():
+    # a conclusive exterior square (the only repeat is (t-1)^3) is read
+    # directly, so no shift c is searched and c_max = 0 suffices
+    sx = SexticAnalysis(P1)
+    partition, route = sx.pair_orbits(c_max=0)
+    assert route == ("pair-products", 0)
+    assert galois.pair_orbit_partition(sx, c_max=0) == partition
+
+
+def test_non_special_analysis_raises():
+    sx = SexticAnalysis(IntPoly.parse("-2,0,0,0,0,0,1"))
+    assert not sx.classification.is_special
+    with pytest.raises(NotSpecial):
+        sx.roots
+    with pytest.raises(NotSpecial):
+        galois.octet_data(sx)

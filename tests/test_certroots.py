@@ -10,6 +10,7 @@ from salemtori.certroots import (
     CertValue,
     ComplexBall,
     certify_value_match,
+    derived_value,
     evaluate_poly_on_ball,
     expand_ball_poly,
     isolate_roots,
@@ -320,6 +321,28 @@ def test_value_match_pair_products():
         if fi == lin
     }
     assert ones == {(0, 1), (2, 3), (4, 5)}
+
+
+def test_derived_value_refines_roots_until_narrow():
+    state = {"rs": isolate_roots(P1, Fraction(1, 1 << 24)), "refines": 0}
+
+    def current():
+        r = state["rs"].roots
+        return r[2] * r[5]  # |root_2|^2, a real number above 1
+
+    def refine():
+        state["refines"] += 1
+        state["rs"] = state["rs"].refine(state["rs"].eps / 16)
+
+    v = derived_value(current, refine, tag=(2, 5))
+    start = v.ball
+    assert v.tag == (2, 5)
+    target = Fraction(1, 1 << 60)
+    assert v.shrink(target)
+    assert v.ball.rad <= target < start.rad
+    assert state["refines"] > 0
+    assert not start.is_disjoint(v.ball)
+    assert abs(v.ball.im) <= v.ball.rad and v.ball.re > 1
 
 
 def test_value_match_rational_slot_capacity():

@@ -29,7 +29,8 @@ from salemtori.exactlin import (
     wedge_basis,
     wedge_power,
 )
-from salemtori.intpoly import IntPoly
+from salemtori.intpoly import IntPoly, squarefree_part
+from salemtori.salem import gross_mcmullen
 
 P1 = IntPoly.parse("1,3,5,5,5,3,1")
 
@@ -134,6 +135,18 @@ def test_minimal_polynomial_cases():
     sq = matrix_poly_eval(IntPoly.parse("1,0,1"), a)
     assert sq != IntMatrix.zero(4, 4)
     assert sq * sq == IntMatrix.zero(4, 4)
+    # wedge squares and kron products of companions of squarefree
+    # polynomials are diagonalizable: the radical of the char poly is the
+    # minimal polynomial, as the Salem tests in salem.py rely on
+    diagonalizable = (
+        wedge_power(companion(P1), 2),
+        wedge_power(companion(gross_mcmullen(8)), 2),
+        companion(IntPoly.parse("1,-1,-1,-1,1")).kron(
+            companion(IntPoly.parse("1,-5,7,-5,1"))
+        ),
+    )
+    for a in diagonalizable:
+        assert squarefree_part(char_poly(a)) == minimal_polynomial(a)
 
 
 def test_minimal_divides_char():

@@ -217,6 +217,8 @@ def test_rejects_non_special():
         galois_class(IntPoly.parse("-2,0,0,0,0,0,1"))
     with pytest.raises(NotSpecial):
         pair_orbit_partition(IntPoly.parse("-2,0,0,0,0,0,1"))
+    with pytest.raises(NotSpecial):
+        octet_data(IntPoly.parse("-2,0,0,0,0,0,1"))
 
 
 def test_corpus_orbit_invariants():

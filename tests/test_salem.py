@@ -162,6 +162,10 @@ def test_cyclotomic_is_not_salem():
     cert = is_salem(PHI5)
     assert not cert.is_salem
     assert cert.count_gt2 == 0
+    # x^2 + 1: the trace polynomial is t, whose root bound is 2 itself
+    cert = is_salem(IntPoly.parse("1,0,1"))
+    assert not cert.is_salem
+    assert cert.count_gt2 == 0
 
 
 def test_salem_gates():
@@ -371,6 +375,17 @@ def test_enumerate_special_small_bound():
         key = tuple(reversed(q.coeffs[:3]))
         seen.append(key)
     assert seen == sorted(seen)
+
+
+def test_first_degree_salem_routes_differ_on_reducible_sextic():
+    # the two largest moduli are the real Salem roots of the two factors;
+    # first_dynamical_degree_salem tests alpha^2 for the real top root
+    # alpha (a Salem number), dynamical_degrees tests the product of the
+    # two largest moduli (not one).  Pinned so that merging the routes
+    # changes these answers on purpose.
+    p = IntPoly.parse("1,-3,1") * IntPoly.parse("1,-5,7,-5,1")
+    assert first_dynamical_degree_salem(p) is True
+    assert dynamical_degrees(companion(p), 3).salem_first is False
 
 
 def test_corpus_first_two_degrees_agree():
