@@ -113,11 +113,6 @@ class ComplexBall:
     def excludes_zero(self) -> bool:
         return self.center_abs_sq() > self.rad * self.rad
 
-    def integers_inside(self):
-        lo = math.ceil(self.re - self.rad)
-        hi = math.floor(self.re + self.rad)
-        return [k for k in range(lo, hi + 1) if self.contains_point(k)]
-
     def modulus_interval(self):
         """Exact rational [lo, hi] containing |z| for every z in the disk.
 
@@ -171,15 +166,6 @@ class ComplexBall:
         if den <= 0:
             raise InputError("inversion of a disk containing zero")
         return ComplexBall(self.re / den, -self.im / den, self.rad / den)
-
-    def render(self, digits: int = 12) -> str:
-        with mpmath.workdps(digits + 8):
-            c = mpmath.mpc(
-                mpmath.mpf(self.re.numerator) / self.re.denominator,
-                mpmath.mpf(self.im.numerator) / self.im.denominator,
-            )
-            r = mpmath.mpf(self.rad.numerator) / self.rad.denominator
-            return f"{mpmath.nstr(c, digits)} ± {mpmath.nstr(r, 3)}"
 
 
 def evaluate_poly_on_ball(p: IntPoly, b: ComplexBall) -> ComplexBall:
@@ -750,42 +736,3 @@ def certify_value_match(values, factors):
                 f"a root slot received {counts.get(k, 0)} values, expected {expect}"
             )
     return [(slots[k][0], slots[k][1]) for k in assignment]
-
-
-# ---------------------------------------------------------------------------
-# pinning integer polynomials from ball products
-
-
-def expand_ball_poly(balls):
-    """Coefficient balls, ascending, of the monic polynomial whose roots
-    are the given balls."""
-    coeffs = [ComplexBall.exact(1)]
-    for b in balls:
-        new = [ComplexBall.exact(0) for _ in range(len(coeffs) + 1)]
-        for i, c in enumerate(coeffs):
-            new[i + 1] = new[i + 1] + c
-            new[i] = new[i] + (-b) * c
-        coeffs = new
-    return coeffs
-
-
-def pin_integer_coeffs(coeff_balls):
-    """Decide integer coefficients from balls known a priori to hold
-    integers.
-
-    ("ok", IntPoly) when every ball pins a unique integer;
-    ("none", index) when some ball provably contains no integer;
-    ("wide", index) when some ball holds several integers, so the inputs
-    need refining.
-    """
-    out = []
-    for idx, b in enumerate(coeff_balls):
-        if b.rad >= 2:
-            return ("wide", idx)
-        ints = b.integers_inside()
-        if not ints:
-            return ("none", idx)
-        if len(ints) > 1:
-            return ("wide", idx)
-        out.append(ints[0])
-    return ("ok", IntPoly(tuple(out)))

@@ -56,7 +56,7 @@ from .torus import (
     standard_construction,
 )
 
-_SCHEMA = "salemtori-report/1"
+_SCHEMA = "salemtori-report/2"
 
 # errors caused by what the user passed in, as opposed to a failed internal
 # certificate; they map to exit code 2
@@ -479,7 +479,11 @@ def _add_common(parser):
         type=int,
         dest="precision_bits",
         default=argparse.SUPPRESS,
-        help="initial root-isolation precision in bits (default 128)",
+        help=(
+            "root radius 2^-max(24, bits) reached before pair orbits are "
+            "matched in galois, picard, sweep and verify-examples; other "
+            "commands ignore it (default 128)"
+        ),
     )
     parser.add_argument(
         "--a-max",

@@ -5,19 +5,18 @@ Galois group embeds in the order-48 group W of permutations of the six
 root labels preserving that pairing.  Under the canonical labeling the
 group always contains complex conjugation, and the quotient action on
 the pairs is the full S3 (the trace cubic is irreducible with exactly
-one real root, never a cyclic cubic).  Five subgroup classes of W can
-occur; they are told apart here by exact integer computations only:
+one real root, never a cyclic cubic).  Five subgroup classes of W are
+candidates; the four that contain conjugation are told apart by two
+exact invariants:
 
   * the partition of the 15 pair products into Galois orbits, read off
     the factorization of the exterior-square characteristic polynomial
     (shifted by c*(sum of the pair) when product values collide);
-  * the factor degrees of the ordered-triple resolvent, whose 48 points
-    carry a free W-action, so every irreducible factor has degree |G|;
-  * perfect-square tests on discriminants.  W has exactly three index-2
-    subgroups, kernels of the linear characters sign6, sign3, and
-    sign6*sign3 (sign6 on the six roots, sign3 on the three pairs), and
-    membership of G in each kernel is equivalent to the corresponding
-    product of discriminants being a rational square.
+  * a perfect-square test on disc(p) disc(q).  W has exactly three
+    index-2 subgroups, kernels of the linear characters sign6, sign3,
+    and sign6*sign3 (sign6 on the six roots, sign3 on the three pairs),
+    and membership of G in each kernel is equivalent to the
+    corresponding product of discriminants being a rational square.
 
 All resolvents are certified: factor assignments go through disk
 matching against isolated roots, never through floating-point guesses.
@@ -25,19 +24,11 @@ matching against isolated roots, never through floating-point guesses.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import isqrt
 
-from .certroots import ComplexBall, expand_ball_poly, pin_integer_coeffs
-from .exactlin import additive_compound2, char_poly
-from .exceptions import (
-    CollisionUnresolved,
-    NoCandidateMatches,
-    PrecisionExhausted,
-    VerificationFailed,
-)
-from .intpoly import discriminant, factor_over_z, is_squarefree
+from .exceptions import NoCandidateMatches, VerificationFailed
+from .intpoly import discriminant
 from .salem import ALL_PAIRS, OCTET_TRIPLES, SexticAnalysis
 
 # root labels: (0,1) unit pair, (2,3) and (4,5) the off-circle pairs
@@ -47,12 +38,6 @@ IDENTITY = (0, 1, 2, 3, 4, 5)
 CONJUGATION = (1, 0, 5, 4, 3, 2)
 
 RECIPROCAL_BLOCK = frozenset(PAIRS)
-# one root from each pair, ordered (OCTET_TRIPLES are the unordered ones)
-ORDERED_TRIPLES = tuple(
-    t
-    for t in itertools.permutations(range(6), 3)
-    if len({_PAIR_OF[i] for i in t}) == 3
-)
 
 
 def _compose(a, b):
@@ -111,10 +96,6 @@ def _act_triple(w, t):
     return tuple(sorted(w[i] for i in t))
 
 
-def _act_ordered(w, t):
-    return tuple(w[i] for i in t)
-
-
 def _sigma(w):
     return tuple(_PAIR_OF[w[2 * k]] for k in range(3))
 
@@ -157,7 +138,6 @@ class CandidateGroup:
     elements: frozenset
     pair_orbit_sizes: tuple  # predicted orbit sizes on the 15 pairs
     octet_orbit_sizes: tuple  # predicted orbit sizes on the 8 one-per-pair triples
-    ordered_triple_orbit_sizes: tuple  # predicted on the 48 ordered triples
     contains_conjugation: bool
     sign_product_square: bool  # group lies in ker(sign6 * sign3)
 
@@ -173,9 +153,6 @@ def _predicted(label, elements):
         ),
         octet_orbit_sizes=tuple(
             sorted(len(o) for o in _orbits(elements, OCTET_TRIPLES, _act_triple))
-        ),
-        ordered_triple_orbit_sizes=tuple(
-            sorted(len(o) for o in _orbits(elements, ORDERED_TRIPLES, _act_ordered))
         ),
         contains_conjugation=CONJUGATION in elements,
         sign_product_square=all(
@@ -223,7 +200,9 @@ def candidate_groups():
     derived by search: W has exactly three index-2 subgroups; one fails
     to surject onto S3 and is discarded, and the remaining two are told
     apart by whether they contain complex conjugation (H24 does, G24
-    does not, so G24 never occurs for an actual special sextic).
+    does not, so G24 never occurs for an actual special sextic).  The
+    four candidates containing conjugation must have distinct pair-orbit
+    sizes or square classes, since galois_class decides from those two.
     """
     global _CANDIDATES
     if _CANDIDATES is not None:
@@ -262,6 +241,15 @@ def candidate_groups():
         orbit0 = {w_[0] for w_ in g.elements}
         if len(orbit0) != 6:
             raise VerificationFailed(f"candidate {g.label} is not transitive")
+    keys = [
+        (g.pair_orbit_sizes, g.sign_product_square)
+        for g in groups
+        if g.contains_conjugation
+    ]
+    if len(set(keys)) != len(keys):
+        raise VerificationFailed(
+            "pair orbits and the square class do not separate the candidates"
+        )
     _CANDIDATES = groups
     return groups
 
@@ -295,44 +283,14 @@ def octet_data(p):
     return t8, OCTET_TRIPLES, owners
 
 
-def _theta_balls(sx: SexticAnalysis, s):
-    s1 = ComplexBall.exact(s)
-    s2 = ComplexBall.exact(s * s)
-    r = sx.roots.roots
-    return [r[a] + r[b] * s1 + r[c] * s2 for a, b, c in ORDERED_TRIPLES]
-
-
-def _triple_resolvent(sx: SexticAnalysis, s_max: int = 100):
-    """Integer polynomial with one root per ordered one-per-pair triple,
-    theta = zeta_a + s zeta_b + s^2 zeta_c; W permutes the 48 thetas
-    freely, so each irreducible factor has degree exactly |G|.
-
-    Coefficients are expanded from certified disks and pinned to unique
-    integers; s is raised until the 48 values are distinct.  s = 1 is
-    skipped: there the value is symmetric in the triple, so each of the
-    48 ordered values repeats six times."""
-    for s in range(2, s_max + 1):
-        for _round in range(24):
-            balls = _theta_balls(sx, s)
-            coeffs = expand_ball_poly(balls)
-            status, out = pin_integer_coeffs(coeffs)
-            if status == "ok":
-                break
-            sx.refine_roots(sx.roots.eps / (1 << 48))
-        else:
-            raise PrecisionExhausted("triple resolvent coefficients did not pin")
-        if is_squarefree(out):
-            return out, s
-    raise CollisionUnresolved(f"no shift s <= {s_max} separates the triple values")
-
-
 def galois_class(p, c_max: int = 100, precision_bits: int = 128) -> GaloisReport:
     """Galois class of a special sextic among the five candidates.
 
-    Order comes from the ordered-triple resolvent (all factor degrees
-    equal |G|), the pair-orbit partition discriminates order 6 from 12,
-    and the square class of disc(p) disc(q) discriminates the order-24
-    class from the full group; every piece is recorded as evidence.
+    The group contains complex conjugation, and among the candidates that
+    do, the pair-orbit sizes and the square class of disc(p) disc(q) pick
+    exactly one (``candidate_groups`` checks that they separate them);
+    its order is |G|.  The product-one octet triples are checked against
+    the chosen candidate's octet orbits.
     """
     sx = SexticAnalysis.of(p)
     cls = sx.require_special()
@@ -341,31 +299,7 @@ def galois_class(p, c_max: int = 100, precision_bits: int = 128) -> GaloisReport
     if sum(orbit_sizes) != 15 or RECIPROCAL_BLOCK not in partition:
         raise VerificationFailed("pair orbits do not contain the reciprocal block")
 
-    w2_degrees = tuple(sorted(sx.wedge2_factors.degrees()))
-    w3_degrees = tuple(sorted(factor_over_z(sx.wedge3_char_poly).degrees()))
-    t8_degrees = tuple(sorted(sx.octet[1].degrees()))
-
-    pair_sum = char_poly(additive_compound2(sx.companion_matrix))
-    if is_squarefree(pair_sum):
-        pair_sum_entry = tuple(sorted(factor_over_z(pair_sum).degrees()))
-    else:
-        pair_sum_entry = "collision, skipped"
-
-    r48, s_used = _triple_resolvent(sx)
-    r48_degrees = tuple(sorted(factor_over_z(r48).degrees()))
-    orders = set(r48_degrees)
-    if len(orders) != 1:
-        raise NoCandidateMatches(
-            f"triple resolvent factor degrees {r48_degrees} are not all equal"
-        )
-    order = r48_degrees[0]
-    if order % 6 != 0 or 48 % order != 0:
-        raise NoCandidateMatches(f"group order {order} outside the lattice")
-    if any(order % len(o) for o in partition):
-        raise NoCandidateMatches("a pair orbit size does not divide the order")
-
-    q = cls.trace_poly
-    disc_p, disc_q = discriminant(sx.poly), discriminant(q)
+    disc_p, disc_q = discriminant(sx.poly), discriminant(cls.trace_poly)
     in_mixed_kernel = _perfect_square(disc_p * disc_q)
     square_classes = (
         ("disc(p)", _perfect_square(disc_p)),
@@ -381,26 +315,25 @@ def galois_class(p, c_max: int = 100, precision_bits: int = 128) -> GaloisReport
         g
         for g in candidate_groups()
         if g.contains_conjugation
-        and g.order == order
         and g.pair_orbit_sizes == orbit_sizes
         and g.sign_product_square == in_mixed_kernel
     ]
-    if sx.product_one_triples:
-        matches = [g for g in matches if g.label in ("H6", "G12")]
     if not matches:
         raise NoCandidateMatches(
-            f"order {order}, pair orbits {orbit_sizes}, "
-            f"square class {in_mixed_kernel} fits no candidate"
+            f"pair orbits {orbit_sizes}, square class {in_mixed_kernel} fits no candidate"
         )
-    label = "|".join(g.label for g in matches)
+    (group,) = matches
+    # the product-one triples are a union of octet orbits, so a candidate
+    # transitive on the octet admits none
+    if sx.product_one_triples and len(group.octet_orbit_sizes) == 1:
+        raise NoCandidateMatches(
+            f"{group.label} is transitive on the octet, but a triple product is 1"
+        )
 
     evidence = (
-        ("wedge-square", w2_degrees),
-        ("wedge-cube", w3_degrees),
-        ("triple-product-octet", t8_degrees),
-        ("pair-sum", pair_sum_entry),
+        ("wedge-square", tuple(sorted(sx.wedge2_factors.degrees()))),
+        ("triple-product-octet", tuple(sorted(sx.octet[1].degrees()))),
         ("pair-orbit route", pair_used),
-        ("ordered-triple resolvent", ("shift", s_used) + r48_degrees),
         ("square classes", square_classes),
         (
             "order-24 separation",
@@ -409,8 +342,8 @@ def galois_class(p, c_max: int = 100, precision_bits: int = 128) -> GaloisReport
         ),
     )
     return GaloisReport(
-        class_label=label,
-        order=matches[0].order if len(matches) == 1 else order,
+        class_label=group.label,
+        order=group.order,
         pair_orbits=partition,
         evidence=evidence,
     )

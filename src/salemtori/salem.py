@@ -710,10 +710,10 @@ def _salem_first(spec: _Spectrum, order) -> bool:
     """Whether the first dynamical degree (product of the top two moduli)
     is a Salem number, by pinning its exact minimal polynomial.
 
-    It can differ from ``first_dynamical_degree_salem`` on reducible
+    ``first_dynamical_degree_salem`` answers through this on reducible
     sextics: for p = (x^2-3x+1)(x^4-5x^3+7x^2-5x+1) the top two moduli are
     the real Salem roots of the two factors, and their product is not a
-    Salem number (False here), while alpha^2 is (True there).
+    Salem number, so the answer is False.
     """
     a, b = order[0], order[1]
     if spec.is_eq1(*a) and spec.is_eq1(*b):
@@ -765,14 +765,15 @@ def _real_pair_product_poly(fa: IntPoly, fb: IntPoly, same: bool) -> IntPoly:
 
 def first_dynamical_degree_salem(p) -> bool:
     """Whether the first dynamical degree of the 3-torus automorphism with
-    analytic eigenvalue data from p is a Salem number: the exact minimal
-    polynomial of alpha*conj(alpha), alpha a largest-modulus root, is
-    matched out of the exterior-square factorization and tested.  A real
-    alpha is matched out of the square resolvent instead, so alpha^2 is
-    tested.  On reducible sextics this can differ from the ``salem_first``
-    of ``dynamical_degrees``, which tests the product of the two largest
-    moduli: for p = (x^2-3x+1)(x^4-5x^3+7x^2-5x+1) this says True and
-    ``salem_first`` False.  On special sextics the two agree.
+    analytic eigenvalue data from p is a Salem number.
+
+    For a special sextic the exact minimal polynomial of alpha*conj(alpha),
+    alpha a largest-modulus root, is matched out of the exterior-square
+    factorization and tested.  A reducible monic unimodular sextic goes
+    through the ``salem_first`` route of ``dynamical_degrees``: the lattice
+    spectrum of a complex-torus map is S together with conj(S), so lambda_1
+    is the product of its two largest moduli.  For
+    p = (x^2-3x+1)(x^4-5x^3+7x^2-5x+1) that product is not a Salem number.
     """
     sx = SexticAnalysis.of(p)
     if sx.classification.is_special:
@@ -782,21 +783,8 @@ def first_dynamical_degree_salem(p) -> bool:
     p = sx.poly
     if p.degree == 6 and p.is_monic() and abs(p[0]) == 1 and not is_irreducible(p):
         spec = _Spectrum(p)
-        order, _ = _sorted_instances(spec)
-        fi, si = order[0]
-        f = spec.fl.factors[fi][0]
-        if spec.is_real(fi, si):
-            fl = factor_over_z(square_value_poly(f))
-            pairs = [(k, k) for k in range(f.degree)]
-            top = (si, si)
-        else:
-            fl = factor_over_z(char_poly(wedge_power(companion(f), 2)))
-            pairs = list(itertools.combinations(range(f.degree), 2))
-            top = tuple(sorted((si, spec.conj_slot(fi, si))))
-        values = [spec.product_value((fi, i), (fi, j)) for i, j in pairs]
-        match = certify_value_match(values, fl)
-        owner = fl.factors[match[pairs.index(top)][0]][0]
-        return is_salem(owner).is_salem
+        order, _cmp = _sorted_instances(spec)
+        return _salem_first(spec, order)
     raise ClassificationRequired(
         "input must classify special or be a reducible monic unimodular sextic"
     )

@@ -12,10 +12,13 @@ import pytest
 
 from salemtori import certroots, galois, salem, torus
 from salemtori.exceptions import NotSpecial
-from salemtori.intpoly import IntPoly
+from salemtori.intpoly import FactorList, IntPoly
 from salemtori.salem import SexticAnalysis, classify_special
 
 P1 = IntPoly.parse("1,3,5,5,5,3,1")
+P2 = IntPoly.parse("1,-5,13,-11,13,-5,1")
+P3 = IntPoly.parse("1,1,3,1,3,1,1")
+P24 = IntPoly.parse("1,-2,5,-6,5,-2,1")
 
 
 @pytest.fixture
@@ -82,6 +85,8 @@ def test_roots_refine_monotonically():
     sx.refine_to_bits(64)  # coarser request: the finer roots stay
     assert sx.roots is fine
     assert sx.roots.labeling == "special-canonical"
+    galois.pair_orbit_partition(sx, precision_bits=200)
+    assert sx.roots.eps <= Fraction(1, 1 << 200)
 
 
 def test_plain_pair_route_needs_no_shift():
@@ -91,6 +96,21 @@ def test_plain_pair_route_needs_no_shift():
     partition, route = sx.pair_orbits(c_max=0)
     assert route == ("pair-products", 0)
     assert galois.pair_orbit_partition(sx, c_max=0) == partition
+
+
+@pytest.mark.parametrize("poly", [P1, P2, P3, P24], ids=["P1", "P2", "P3", "P24"])
+def test_shifted_pair_route_matches_plain_route(poly):
+    # no corpus sextic has a non-conclusive exterior square, so one is
+    # imposed: every pair product is then read as a root of (t-1)^15, and
+    # the orbits must be found with a shift c >= 1
+    plain, route = SexticAnalysis(poly).pair_orbits()
+    assert route == ("pair-products", 0)
+    sx = SexticAnalysis(poly)
+    sx.wedge2_factors = FactorList(Fraction(1), ((IntPoly.parse("-1,1"), 15),))
+    shifted, (name, c) = sx.pair_orbits()
+    assert name == "shifted pair-products"
+    assert c >= 1
+    assert shifted == plain
 
 
 def test_non_special_analysis_raises():

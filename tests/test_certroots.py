@@ -12,9 +12,7 @@ from salemtori.certroots import (
     certify_value_match,
     derived_value,
     evaluate_poly_on_ball,
-    expand_ball_poly,
     isolate_roots,
-    pin_integer_coeffs,
 )
 from salemtori.exactlin import char_poly, companion, wedge_power
 from salemtori.exceptions import (
@@ -375,27 +373,3 @@ def test_value_match_wrong_count():
     fl = factor_over_z(IntPoly.parse("2,-3,1"))
     with pytest.raises(VerificationFailed):
         certify_value_match([ComplexBall.exact(1)], fl)
-
-
-# ---- integer pinning ----
-
-
-def test_pin_roundtrip_from_roots():
-    rs = isolate_roots(P1, Fraction(1, 1 << 40))
-    status = pin_integer_coeffs(expand_ball_poly(list(rs.roots)))
-    assert status == ("ok", P1)
-
-
-def test_pin_rejects_irrational():
-    rs = isolate_roots(IntPoly.parse("-2,0,1"), Fraction(1, 1 << 30))
-    # single root ball around sqrt(2): t - sqrt(2) has no integer constant
-    ball = next(b for b in rs.roots if b.re > 0)
-    status = pin_integer_coeffs(expand_ball_poly([ball]))
-    assert status[0] == "none"
-
-
-def test_pin_wide_ball():
-    wide = ComplexBall(Fraction(1, 2), Fraction(0), Fraction(3, 4))
-    assert pin_integer_coeffs([wide])[0] == "wide"
-    huge = ComplexBall(Fraction(0), Fraction(0), Fraction(5))
-    assert pin_integer_coeffs([huge])[0] == "wide"

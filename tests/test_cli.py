@@ -62,7 +62,7 @@ def verify_doc():
 
 def test_envelope_fields(capsys):
     doc = run_json(capsys, ["classify", P1])
-    assert doc["schema"] == "salemtori-report/1"
+    assert doc["schema"] == "salemtori-report/2"
     assert doc["tool"]["name"] == "salemtori"
     assert doc["tool"]["version"]
     assert doc["command"] == "classify"
@@ -233,7 +233,7 @@ def test_byte_determinism(capsys):
 def test_text_format(capsys):
     out = run_cli(capsys, ["classify", P1, "--format", "text"])
     assert "is_special: true" in out
-    assert "schema: salemtori-report/1" in out
+    assert "schema: salemtori-report/2" in out
     assert "trace_poly: -1,2,3,1" in out
 
 

@@ -7,6 +7,7 @@ orders are cross-checked against sympy's galois_group.
 """
 
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -40,6 +41,11 @@ EXPECTED = {
 
 def _compose(a, b):
     return tuple(a[b[i]] for i in range(6))
+
+
+def _act_pair(w, pr):
+    a, b = w[pr[0]], w[pr[1]]
+    return (a, b) if a < b else (b, a)
 
 
 def _orbit_sizes(elements, points, act):
@@ -98,37 +104,23 @@ def test_candidate_census():
 
 def test_candidate_orbit_tables():
     frozen = {
-        "H6": ((3, 3, 3, 6), (2, 6), (6,) * 8),
-        "G12": ((3, 6, 6), (2, 6), (12,) * 4),
-        "G24": ((3, 12), (4, 4), (24, 24)),
-        "H24": ((3, 12), (8,), (24, 24)),
-        "G48": ((3, 12), (8,), (48,)),
+        "H6": ((3, 3, 3, 6), (2, 6)),
+        "G12": ((3, 6, 6), (2, 6)),
+        "G24": ((3, 12), (4, 4)),
+        "H24": ((3, 12), (8,)),
+        "G48": ((3, 12), (8,)),
     }
-
-    def act_pair(w, pr):
-        a, b = w[pr[0]], w[pr[1]]
-        return (a, b) if a < b else (b, a)
 
     def act_triple(w, t):
         return tuple(sorted(w[i] for i in t))
 
-    def act_ordered(w, t):
-        return tuple(w[i] for i in t)
-
-    ordered = tuple(
-        t
-        for t in itertools.permutations(range(6), 3)
-        if len({i // 2 for i in t}) == 3
-    )
     for g in candidate_groups():
         want = frozen[g.label]
         assert g.pair_orbit_sizes == want[0]
         assert g.octet_orbit_sizes == want[1]
-        assert g.ordered_triple_orbit_sizes == want[2]
         # recompute with test-local orbit code
-        assert _orbit_sizes(g.elements, ALL_PAIRS, act_pair) == want[0]
+        assert _orbit_sizes(g.elements, ALL_PAIRS, _act_pair) == want[0]
         assert _orbit_sizes(g.elements, OCTET_TRIPLES, act_triple) == want[1]
-        assert _orbit_sizes(g.elements, ordered, act_ordered) == want[2]
 
 
 def test_subgroup_lattice():
@@ -142,8 +134,6 @@ def test_subgroup_lattice():
                 assert _compose(a, b) in g.elements
     assert by_label["H6"].elements <= by_label["G12"].elements
     assert by_label["H6"].elements <= by_label["H24"].elements
-    # order 12 class sits in no order-24 class: its ordered-triple
-    # orbits (size 12) are not refinements of either 24/24 pattern
     for label in ("G24", "H24"):
         assert not by_label["G12"].elements <= by_label[label].elements
     assert CONJUGATION not in by_label["G24"].elements
@@ -162,17 +152,6 @@ def test_examples_classify(reports):
 
 def test_examples_evidence(reports):
     ev = {s: dict(reports[s].evidence) for s in EXPECTED}
-    # the degree-15 sum resolvent degenerates exactly for the order-6 example
-    assert ev["1,3,5,5,5,3,1"]["pair-sum"] == "collision, skipped"
-    assert ev["1,-5,13,-11,13,-5,1"]["pair-sum"] == (3, 6, 6)
-    assert ev["1,1,3,1,3,1,1"]["pair-sum"] == (3, 12)
-    # ordered-triple resolvent factors all have degree equal to the order
-    for s, (_label, order, _sizes) in EXPECTED.items():
-        entry = ev[s]["ordered-triple resolvent"]
-        assert entry[0] == "shift"
-        degrees = entry[2:]
-        assert set(degrees) == {order}
-        assert sum(degrees) == 48
     # disc(p) < 0 and the trace cubic is never cyclic, so only the
     # product can be a square, and it is exactly for H6 and H24
     for s in EXPECTED:
@@ -183,15 +162,91 @@ def test_examples_evidence(reports):
         assert classes["disc(p)disc(q)"] is want
 
 
+def _sign(perm):
+    inversions = sum(
+        1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
+    )
+    return -1 if inversions % 2 else 1
+
+
+def test_candidates_cover_every_possible_group():
+    # every subgroup of W containing conjugation, grown from <conj> by one
+    # element at a time with test-local closure code
+    w = wreath_group()
+
+    def closure(gens):
+        seen = {tuple(range(6))}
+        frontier = list(seen)
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = _compose(g, x)
+                if y not in seen:
+                    seen.add(y)
+                    frontier.append(y)
+        return frozenset(seen)
+
+    start = closure([CONJUGATION])
+    subgroups = {start}
+    frontier = [start]
+    while frontier:
+        h = frontier.pop()
+        for g in w - h:
+            k = closure(list(h) + [g])
+            if k not in subgroups:
+                subgroups.add(k)
+                frontier.append(k)
+
+    def on_pairs(x):
+        return tuple(x[2 * k] // 2 for k in range(3))
+
+    # a Galois group of a special sextic is transitive on the roots and
+    # maps onto S3, the group of the trace cubic
+    possible = [
+        h
+        for h in subgroups
+        if {x[0] for x in h} == set(range(6)) and len({on_pairs(x) for x in h}) == 6
+    ]
+    assert sorted(len(h) for h in possible) == [6, 6, 12, 12, 24, 48]
+
+    candidates = [g for g in candidate_groups() if g.contains_conjugation]
+    for h in possible:
+        sizes = _orbit_sizes(h, ALL_PAIRS, _act_pair)
+        square = all(_sign(x) * _sign(on_pairs(x)) == 1 for x in h)
+        # galois_class reads these two invariants and reports the order of
+        # the one candidate that has them
+        hits = [
+            g
+            for g in candidates
+            if g.pair_orbit_sizes == sizes and g.sign_product_square == square
+        ]
+        assert len(hits) == 1
+        assert hits[0].order == len(h)
+
+
 def test_sympy_order_oracle():
     from sympy import Poly, symbols
     from sympy.polys.numberfields.galoisgroups import galois_group
 
+    from salemtori.salem import enumerate_special
+
     x = symbols("x")
+
+    def sympy_order(p):
+        group, _alt = galois_group(Poly(list(reversed(p.coeffs)), x))
+        return group.order()
+
     for s, (_label, order, _sizes) in EXPECTED.items():
-        coeffs = [int(c) for c in reversed(IntPoly.parse(s).coeffs)]
-        group, _alt = galois_group(Poly(coeffs, x))
-        assert group.order() == order
+        assert sympy_order(IntPoly.parse(s)) == order
+    # the class decision on every special sextic of trace bound 2
+    labels = {6: "H6", 12: "G12", 24: "H24", 48: "G48"}
+    census = Counter()
+    for _q, p, _cls in enumerate_special(2):
+        rep = galois_class(p)
+        assert rep.order == sympy_order(p)
+        assert rep.class_label == labels[rep.order]
+        census[rep.class_label] += 1
+    assert census == {"H6": 2, "G12": 4, "H24": 4, "G48": 40}
 
 
 def test_pair_orbit_partition_direct():

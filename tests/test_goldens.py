@@ -4,7 +4,11 @@ Each case runs one subcommand in-process and compares its full output,
 byte for byte, with a report stored under ``tests/goldens/``.  The
 goldens were produced by the same runner before the per-sextic analysis
 object existed, so any change to a decision, an exact output or an
-enclosure string shows up here.
+enclosure string shows up here.  Since then they were edited only
+mechanically (load, edit, ``json.dumps(indent=2)``): the schema became
+``salemtori-report/2`` when the Galois class stopped being read from the
+ordered-triple resolvent, and the ``wedge-cube``, ``pair-sum`` and
+``ordered-triple resolvent`` entries left the ``galois`` evidence.
 
 Regenerate (only when a change of output is intended and recorded):
 

@@ -378,14 +378,16 @@ def test_enumerate_special_small_bound():
 
 
 def test_first_degree_salem_routes_differ_on_reducible_sextic():
-    # the two largest moduli are the real Salem roots of the two factors;
-    # first_dynamical_degree_salem tests alpha^2 for the real top root
-    # alpha (a Salem number), dynamical_degrees tests the product of the
-    # two largest moduli (not one).  Pinned so that merging the routes
-    # changes these answers on purpose.
+    # the two largest moduli are the real Salem roots of the two factors,
+    # and lambda_1 is their product, not alpha^2 for the top root alpha;
+    # that product is not a Salem number
     p = IntPoly.parse("1,-3,1") * IntPoly.parse("1,-5,7,-5,1")
-    assert first_dynamical_degree_salem(p) is True
+    assert first_dynamical_degree_salem(p) is False
     assert dynamical_degrees(companion(p), 3).salem_first is False
+    # with the top root doubled, lambda_1 = alpha^2 is a Salem number
+    doubled = IntPoly.parse("1,-3,1") ** 2 * IntPoly.parse("1,1,1")
+    assert first_dynamical_degree_salem(doubled) is True
+    assert dynamical_degrees(companion(doubled), 3).salem_first is True
 
 
 def test_corpus_first_two_degrees_agree():
