@@ -8,7 +8,9 @@ enclosure string shows up here.  Since then they were edited only
 mechanically (load, edit, ``json.dumps(indent=2)``): the schema became
 ``salemtori-report/2`` when the Galois class stopped being read from the
 ordered-triple resolvent, and the ``wedge-cube``, ``pair-sum`` and
-``ordered-triple resolvent`` entries left the ``galois`` evidence.
+``ordered-triple resolvent`` entries left the ``galois`` evidence.  The
+two block-matrix ``degrees`` goldens were produced by this runner before
+eigenvalue lookups went through one shared root store.
 
 Regenerate (only when a change of output is intended and recorded):
 
@@ -43,6 +45,20 @@ for _name, _poly in _WORKED.items():
         "3",
     ]
 CASES["picard-p1-triple-024"] = ["picard", _WORKED["p1"], "--triple", "0,2,4"]
+
+
+def _block(*polys):
+    m = companion(IntPoly.parse(polys[0]))
+    for p in polys[1:]:
+        m = m.direct_sum(companion(IntPoly.parse(p)))
+    return m.format()
+
+
+# three roots of modulus tau^2 (tau the golden ratio) in two factors, so
+# moduli are compared through exact modulus squares
+CASES["degrees-equal-moduli-blocks"] = ["degrees", _block("1,-3,1", "1,0,7,0,1"), "--dim", "3"]
+# inverse partners across the mutually reversed factors x^2-x-1, x^2+x-1
+CASES["degrees-reversed-blocks"] = ["degrees", _block("-1,-1,1", "-1,1,1"), "--dim", "2"]
 CASES["sweep-bound-1"] = ["sweep", "--trace-coeff-bound", "1"]
 
 
