@@ -13,6 +13,7 @@ never decide anything.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -665,6 +666,52 @@ def derived_value(current, refine, tag=None) -> CertValue:
     return CertValue(current(), shrink_to, tag)
 
 
+class FactorRoots:
+    """One isolated root system per irreducible factor of a factorization,
+    refined in place; every derived value is located among roots here."""
+
+    def __init__(self, factors):
+        self.factors = factors
+        self.systems = [isolate_roots(f, Fraction(1, 1 << 24)) for f, _m in factors]
+
+    def factor(self, fi) -> IntPoly:
+        return self.factors.factors[fi][0]
+
+    def refine(self, fi, eps=None):
+        """Refine factor fi's roots to radius eps, by default eps / 16."""
+        rs = self.systems[fi]
+        self.systems[fi] = rs.refine(rs.eps / 16 if eps is None else eps)
+
+    def locate(self, value: CertValue):
+        """(factor index, slot) of the root equal to value, a CertValue
+        known to be a root of the factorization.
+
+        Each round quarters a target radius, shrinks the value to it and
+        refines to it the factors whose roots the value's disk still meets.
+        Raises VerificationFailed when the disk meets no root, Ambiguous
+        when the value cannot shrink or the rounds run out.
+        """
+        target = Fraction(1, 1 << 24)
+        for _ in range(80):
+            hits = [
+                (fi, si)
+                for fi, rs in enumerate(self.systems)
+                for si, root in enumerate(rs.roots)
+                if not value.ball.is_disjoint(root)
+            ]
+            if not hits:
+                raise VerificationFailed("a value matches no factor root")
+            if len(hits) == 1:
+                return hits[0]
+            target = target / 4
+            if not value.shrink(target):
+                raise Ambiguous("values cannot be separated further")
+            for fi in {fi for fi, _si in hits}:
+                if self.systems[fi].eps > target:
+                    self.refine(fi, target)
+        raise Ambiguous("value location did not stabilize")
+
+
 def certify_value_match(values, factors):
     """Assign each value to one root slot of a factored polynomial.
 
@@ -676,63 +723,18 @@ def certify_value_match(values, factors):
     verified against multiplicities.  Raises VerificationFailed when a
     value provably matches no root, Ambiguous when separation stalls.
     """
-    values = [v if isinstance(v, CertValue) else CertValue(v) for v in values]
-    slots = []
-    systems = {}
-    for fi, (f, _mult) in enumerate(factors):
-        if f.degree == 1:
-            root = Fraction(-f.coeffs[0], f.coeffs[1])
-            slots.append((fi, 0, ComplexBall.exact(root)))
-        else:
-            rs = isolate_roots(f, Fraction(1, 1 << 24))
-            systems[fi] = rs
-            for si in range(f.degree):
-                slots.append((fi, si, rs.roots[si]))
     total = sum(f.degree * m for f, m in factors)
     if total != len(values):
         raise VerificationFailed(
             f"value count {len(values)} does not match total root count {total}"
         )
-    assignment = [None] * len(values)
-    slot_balls = [s[2] for s in slots]
-    target = Fraction(1, 1 << 24)
-    for _ in range(80):
-        undecided = []
-        for vi, v in enumerate(values):
-            if assignment[vi] is not None:
-                continue
-            hits = [k for k, sb in enumerate(slot_balls) if not v.ball.is_disjoint(sb)]
-            if not hits:
-                raise VerificationFailed("a value matches no factor root")
-            if len(hits) == 1:
-                assignment[vi] = hits[0]
-            else:
-                undecided.append(vi)
-        if not undecided:
-            break
-        target = target / 4
-        progress = False
-        for vi in undecided:
-            if values[vi].shrink(target):
-                progress = True
-        for fi in list(systems):
-            systems[fi] = systems[fi].refine(target)
-        if systems:
-            for k, (fi, si, _b) in enumerate(slots):
-                if fi in systems:
-                    slot_balls[k] = systems[fi].roots[si]
-            progress = True
-        if not progress:
-            raise Ambiguous("values cannot be separated further")
-    else:
-        raise Ambiguous("value-to-factor matching did not stabilize")
-    counts = {}
-    for k in assignment:
-        counts[k] = counts.get(k, 0) + 1
-    for k, (fi, _si, _b) in enumerate(slots):
-        expect = factors.factors[fi][1]
-        if counts.get(k, 0) != expect:
-            raise VerificationFailed(
-                f"a root slot received {counts.get(k, 0)} values, expected {expect}"
-            )
-    return [(slots[k][0], slots[k][1]) for k in assignment]
+    roots = FactorRoots(factors)
+    match = [roots.locate(v if isinstance(v, CertValue) else CertValue(v)) for v in values]
+    loads = Counter(match)
+    for fi, (f, mult) in enumerate(factors):
+        for si in range(f.degree):
+            if loads[fi, si] != mult:
+                raise VerificationFailed(
+                    f"a root slot received {loads[fi, si]} values, expected {mult}"
+                )
+    return match

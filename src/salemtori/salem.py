@@ -26,6 +26,7 @@ from functools import cached_property
 from .certroots import (
     CertValue,
     ComplexBall,
+    FactorRoots,
     RootSystem,
     certify_value_match,
     derived_value,
@@ -109,7 +110,14 @@ class SalemCertificate:
 class DegreeReport:
     lambdas: tuple  # (lo, hi) per p = 0..n
     exact_equalities: frozenset  # pairs (p, q), p < q, certified equal
-    salem_first: bool
+    # the eigenvalues and their modulus order, kept for salem_first
+    spectrum: "_Spectrum" = field(repr=False, compare=False)
+    order: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def salem_first(self) -> bool:
+        """Whether lambda_1 is a Salem number, decided on first read."""
+        return _salem_first(self.spectrum, self.order)
 
 
 def classify_special(p: IntPoly) -> SpecialClassification:
@@ -412,19 +420,17 @@ def gross_mcmullen(two_k: int, a_max: int = 10000) -> IntPoly:
 # eigenvalue bookkeeping for degree computations
 
 
-class _Spectrum:
-    """Eigenvalues of an integer matrix as refinable per-factor root
-    systems; instances carry algebraic multiplicity."""
+class _Spectrum(FactorRoots):
+    """Eigenvalues of an integer matrix: the refinable root systems of its
+    char poly's irreducible factors; instances carry algebraic
+    multiplicity."""
 
     def __init__(self, chi: IntPoly):
-        self.fl = factor_over_z(chi)
-        self.systems = []
-        for f, _m in self.fl:
-            self.systems.append(isolate_roots(f, Fraction(1, 1 << 24)))
+        super().__init__(factor_over_z(chi))
 
     def instances(self):
         out = []
-        for fi, (f, m) in enumerate(self.fl):
+        for fi, (f, m) in enumerate(self.factors):
             for si in range(f.degree):
                 for copy in range(m):
                     out.append((fi, si))
@@ -434,20 +440,13 @@ class _Spectrum:
         return self.systems[fi].roots[si]
 
     def is_eq1(self, fi, si):
-        return self.systems[fi].modulus_class[si] == "eq1"
+        return self.mod_class(fi, si) == "eq1"
 
     def mod_class(self, fi, si):
         return self.systems[fi].modulus_class[si]
 
-    def conj_slot(self, fi, si):
-        return self.systems[fi].conj[si]
-
     def is_real(self, fi, si):
         return self.systems[fi].conj[si] == si
-
-    def refine(self, fi):
-        rs = self.systems[fi]
-        self.systems[fi] = rs.refine(rs.eps / 16)
 
     def product_value(self, a, b) -> CertValue:
         """Shrinkable disk for the product of the roots at instances a and
@@ -464,7 +463,7 @@ class _Spectrum:
         return derived_value(current, refine, tag=(a, b))
 
     def conj_instance(self, fi, si):
-        return (fi, self.conj_slot(fi, si))
+        return (fi, self.systems[fi].conj[si])
 
     def inverse_partner(self, fi, si):
         """(gi, sj) of the root equal to 1 / this root, or None.
@@ -473,61 +472,21 @@ class _Spectrum:
         cross-factor partner exists exactly when the other factor is the
         reversal of this one, and is then located by exact disk inversion.
         """
-        f = self.fl.factors[fi][0]
-        rs = self.systems[fi]
-        if rs.recip is not None:
-            return (fi, rs.recip[si])
-        rev = f.reverse().primitive()
+        recip = self.systems[fi].recip
+        if recip is not None:
+            return (fi, recip[si])
+        rev = self.factor(fi).reverse().primitive()
         if rev.lc < 0:
             rev = -rev
-        for gi, (g, _m) in enumerate(self.fl):
-            if gi == fi or g != rev:
-                continue
-            for _ in range(64):
-                try:
-                    img = self.systems[fi].roots[si].invert()
-                except InputError:
-                    self.refine(fi)
-                    continue
-                hits = [
-                    sj
-                    for sj in range(g.degree)
-                    if not img.is_disjoint(self.systems[gi].roots[sj])
-                ]
-                if len(hits) == 1:
-                    return (gi, hits[0])
+        if all(g != rev for g, _m in self.factors):
+            return None
+
+        def inverse():
+            while not self.ball(fi, si).excludes_zero():
                 self.refine(fi)
-                self.refine(gi)
-            raise PrecisionExhausted("inverse pairing across factors stalled")
-        return None
+            return self.ball(fi, si).invert()
 
-
-def _root_locator(poly: IntPoly, rounds=80):
-    """A function taking a CertValue known to be a root of poly to the
-    (irreducible factor, slot) of that root; calls share the root disks."""
-    fl = factor_over_z(poly)
-    systems = [isolate_roots(f, Fraction(1, 1 << 24)) for f, _m in fl]
-
-    def locate(value: CertValue):
-        target = Fraction(1, 1 << 24)
-        for _ in range(rounds):
-            hits = [
-                (fi, si)
-                for fi, (f, _m) in enumerate(fl)
-                for si in range(f.degree)
-                if not value.ball.is_disjoint(systems[fi].roots[si])
-            ]
-            if not hits:
-                raise VerificationFailed("value matches no root of the resolvent")
-            if len(hits) == 1:
-                return fl.factors[hits[0][0]][0], hits[0][1]
-            target = target / 4
-            value.shrink(target)
-            for fi in {fi for fi, _ in hits}:
-                systems[fi] = systems[fi].refine(target)
-        raise PrecisionExhausted("value location did not stabilize")
-
-    return locate
+        return self.locate(derived_value(inverse, lambda: self.refine(fi)))
 
 
 def square_value_poly(f: IntPoly) -> IntPoly:
@@ -551,13 +510,14 @@ def _diagonalizable_min_poly(a: IntMatrix) -> IntPoly:
 
 def _min_poly_of_modsq(spec: _Spectrum, fi, si) -> IntPoly:
     """Exact minimal polynomial of |root|^2 for one spectrum slot."""
-    f = spec.fl.factors[fi][0]
+    f = spec.factor(fi)
     v = spec.product_value((fi, si), spec.conj_instance(fi, si))
     if spec.is_real(fi, si):
         poly = square_value_poly(f)
     else:
         poly = _diagonalizable_min_poly(wedge_power(companion(f), 2))
-    return _root_locator(poly)(v)[0]
+    roots = FactorRoots(factor_over_z(poly))
+    return roots.factor(roots.locate(v)[0])
 
 
 def _equal_modsq(spec: _Spectrum, a, b) -> bool:
@@ -567,9 +527,9 @@ def _equal_modsq(spec: _Spectrum, a, b) -> bool:
     mb = _min_poly_of_modsq(spec, *b)
     if ma != mb:
         return False
-    locate = _root_locator(ma)
-    la = locate(spec.product_value(a, spec.conj_instance(*a)))
-    return la == locate(spec.product_value(b, spec.conj_instance(*b)))
+    roots = FactorRoots(factor_over_z(ma))
+    la = roots.locate(spec.product_value(a, spec.conj_instance(*a)))
+    return la == roots.locate(spec.product_value(b, spec.conj_instance(*b)))
 
 
 def _cmp_moduli(spec: _Spectrum, a, b) -> int:
@@ -603,7 +563,8 @@ def _cmp_moduli(spec: _Spectrum, a, b) -> int:
 
 def _sorted_instances(spec: _Spectrum):
     """Eigenvalue instances sorted by modulus, largest first, with an
-    exact comparison; ties keep conjugate pairs adjacent."""
+    exact comparison; equal moduli are ordered by descending
+    (factor, slot) index."""
     from functools import cmp_to_key
 
     cache = {}
@@ -622,7 +583,8 @@ def _sorted_instances(spec: _Spectrum):
         c = cmp_pair(x, y)
         if c != 0:
             return c
-        # deterministic tie order: real roots first, then by indices
+        # deterministic tie order: by index, which the reversed sort
+        # turns into descending index
         return -1 if x < y else 1
 
     return sorted(spec.instances(), key=cmp_to_key(full_cmp), reverse=True), cmp_pair
@@ -698,11 +660,11 @@ def dynamical_degrees(A: IntMatrix, n: int) -> DegreeReport:
         if lambdas[p][1] ** 2 < lambdas[p - 1][0] * lambdas[p + 1][0]:
             raise VerificationFailed("interval bounds refute log-concavity")
 
-    salem_first = _salem_first(spec, order)
     return DegreeReport(
         lambdas=tuple(lambdas),
         exact_equalities=frozenset(equal),
-        salem_first=salem_first,
+        spectrum=spec,
+        order=tuple(order),
     )
 
 
@@ -719,20 +681,10 @@ def _salem_first(spec: _Spectrum, order) -> bool:
     if spec.is_eq1(*a) and spec.is_eq1(*b):
         return False  # lambda_1 = 1
     if spec.is_eq1(*b):
-        # lambda_1 = |root_a|
-        if spec.is_real(*a):
-            return is_salem(spec.fl.factors[a[0]][0]).is_salem
-        m = _min_poly_of_modsq(spec, *a)
-        # minimal polynomial of the modulus divides m(y^2)
-        lifted = IntPoly(tuple(x for c in m.coeffs for x in (c, 0))[:-1])
-        _modulus_interval_tight(spec, a, Fraction(1, 1 << 24))
-
-        def modulus():
-            lo, hi = spec.ball(*a).modulus_interval()
-            return ComplexBall((lo + hi) / 2, Fraction(0), (hi - lo) / 2)
-
-        v = derived_value(modulus, lambda: spec.refine(a[0]))
-        return is_salem(_root_locator(lifted)(v)[0]).is_salem
+        # lambda_1 = |root_a|, root_a real (a nonreal one has its conjugate
+        # sorted ahead of b), and its disk, narrower than 1, shows its sign
+        f = spec.factor(a[0])
+        return is_salem(f.negate_variable() if spec.ball(*a).re < 0 else f).is_salem
     # both top ranks off the circle
     if b == spec.conj_instance(*a) or (spec.is_real(*a) and a == b):
         m = _min_poly_of_modsq(spec, *a)
@@ -740,9 +692,11 @@ def _salem_first(spec: _Spectrum, order) -> bool:
     if spec.is_real(*a) and spec.is_real(*b):
         # product of two real eigenvalues; take the modulus of the product
         v = spec.product_value(a, b)
-        fa = spec.fl.factors[a[0]][0]
-        fb = spec.fl.factors[b[0]][0]
-        m, _slot = _root_locator(_real_pair_product_poly(fa, fb, a[0] == b[0]))(v)
+        fa = spec.factor(a[0])
+        fb = spec.factor(b[0])
+        poly = _real_pair_product_poly(fa, fb, a[0] == b[0])
+        roots = FactorRoots(factor_over_z(poly))
+        m = roots.factor(roots.locate(v)[0])
         if v.ball.re - v.ball.rad < 0:
             m = m.negate_variable()
             if m.lc < 0:

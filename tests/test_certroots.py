@@ -9,6 +9,7 @@ import pytest
 from salemtori.certroots import (
     CertValue,
     ComplexBall,
+    FactorRoots,
     certify_value_match,
     derived_value,
     evaluate_poly_on_ball,
@@ -341,6 +342,21 @@ def test_derived_value_refines_roots_until_narrow():
     assert state["refines"] > 0
     assert not start.is_disjoint(v.ball)
     assert abs(v.ball.im) <= v.ball.rad and v.ball.re > 1
+
+
+def test_locate_refines_only_factors_the_value_meets():
+    # (t-1)(t-2)(t^2+t+1); the value is 2, first known to within 3/5 of
+    # 3/2, so its disk meets the roots 1 and 2 but not the cube roots of 1
+    roots = FactorRoots(factor_over_z(IntPoly.parse("2,-3,1") * IntPoly.parse("1,1,1")))
+    value = CertValue(
+        ComplexBall(Fraction(3, 2), 0, Fraction(3, 5)),
+        lambda target: ComplexBall(2, 0, target),
+    )
+    fi, si = roots.locate(value)
+    assert (roots.factor(fi), si) == (IntPoly.parse("-2,1"), 0)
+    start = Fraction(1, 1 << 24)
+    for rs in roots.systems:
+        assert (rs.eps < start) == (rs.poly.degree == 1)
 
 
 def test_value_match_rational_slot_capacity():

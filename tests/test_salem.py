@@ -3,6 +3,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from salemtori import salem
 from salemtori.exactlin import IntMatrix, char_poly, companion, wedge_power
 from salemtori.exceptions import (
     ClassificationRequired,
@@ -390,10 +391,77 @@ def test_first_degree_salem_routes_differ_on_reducible_sextic():
     assert dynamical_degrees(companion(doubled), 3).salem_first is True
 
 
+def first_degree_salem_oracle(p: IntPoly) -> bool:
+    """Whether lambda_1 of a special sextic p, the product of its two
+    largest root moduli, is a Salem number, decided by sympy and mpmath
+    alone.
+
+    The resultant of p(x) and x^6 p(t/x) in x has as roots all products of
+    two roots of p, and lambda_1 = alpha * conj(alpha) for a top root alpha
+    is one of them, so one irreducible factor vanishes at lambda_1.
+    That factor is a Salem polynomial (degree 2 accepted, as by is_salem)
+    iff it is reciprocal with exactly one root outside the unit circle;
+    without reciprocity a Pisot number such as lambda_1 of P1 would pass.
+    """
+    import sympy
+
+    x, t = sympy.symbols("x t")
+    px = sum(c * x**i for i, c in enumerate(p.coeffs))
+    res = sympy.resultant(px, sympy.expand(x**6 * px.subs(x, t / x)), x)
+    factors = [sympy.Poly(f, t).all_coeffs() for f, _m in sympy.factor_list(res, t)[1]]
+    with mpmath.workdps(40):
+        moduli = sorted(
+            (abs(r) for r in mpmath.polyroots(list(reversed(p.coeffs)), maxsteps=200)),
+            reverse=True,
+        )
+        lam = moduli[0] * moduli[1]
+        owners = [
+            [int(c) for c in f]
+            for f in factors
+            if len(f) > 1
+            and min(abs(r - lam) for r in mpmath.polyroots(f, maxsteps=200)) < 1e-20
+        ]
+        assert len(owners) == 1
+        f = owners[0]
+        outside = sum(abs(r) > 1 + 1e-20 for r in mpmath.polyroots(f, maxsteps=200))
+    return f == f[::-1] and outside == 1
+
+
 def test_corpus_first_two_degrees_agree():
-    # every special sextic gives lambda_1 = lambda_2, certified exactly
+    # every special sextic gives lambda_1 = lambda_2, certified exactly,
+    # and both questions answer the Salem test like the oracle
     for q, p, cls in enumerate_special(1):
         rep = dynamical_degrees(companion(p), 3)
         assert (1, 2) in rep.exact_equalities
-        assert rep.salem_first is False
-        assert first_dynamical_degree_salem(p) is False
+        want = first_degree_salem_oracle(p)
+        assert rep.salem_first is want
+        assert first_dynamical_degree_salem(p) is want
+
+
+def test_first_degree_salem_negative_top_root():
+    # x^2+3x+1 has the top root -(3+sqrt 5)/2; lambda_1 is its modulus, a
+    # root of x^2-3x+1, so a Salem number as for SALEM2 * PHI5
+    assert first_dynamical_degree_salem(IntPoly.parse("1,3,1") * PHI5) is True
+
+
+def test_degrees_salem_first_negative_top_root():
+    blocks = companion(IntPoly.parse("1,3,1")).direct_sum(companion(PHI5))
+    rep = dynamical_degrees(blocks, 3)
+    lo, hi = rep.lambdas[1]
+    assert (2 * lo - 3) ** 2 < 5 < (2 * hi - 3) ** 2  # lambda_1 = (3+sqrt 5)/2
+    assert rep.salem_first is True
+
+
+def test_salem_first_decided_only_when_read(monkeypatch):
+    calls = []
+    decide = salem._salem_first
+
+    def counting(spec, order):
+        calls.append(order)
+        return decide(spec, order)
+
+    monkeypatch.setattr(salem, "_salem_first", counting)
+    rep = dynamical_degrees(companion(SALEM2 * PHI5), 3)
+    assert calls == []
+    assert rep.salem_first is True and rep.salem_first is True
+    assert len(calls) == 1
