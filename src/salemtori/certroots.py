@@ -1,9 +1,10 @@
 """Certified complex root isolation.
 
-Floating approximations come from a simultaneous (Aberth-style) iteration;
-every guarantee is then restored exactly: Weierstrass correction terms are
-evaluated in exact dyadic integer arithmetic and yield disks that provably
-contain the roots (a connected union of k such disks holds exactly k roots,
+Approximations come from simultaneous (Aberth) sweeps: in hardware floats
+for the first disks, in mpmath at doubling precision when those do not
+certify or finer disks are asked for.  Every guarantee is then restored
+exactly: Weierstrass correction terms are evaluated in exact dyadic
+integer arithmetic and yield disks that provably contain the roots (a connected union of k such disks holds exactly k roots,
 so pairwise disjoint disks isolate).  All downstream decisions, conjugate
 pairing, reciprocal pairing, modulus classes, matching derived values to
 resolvent factors, are made with exact rational ball arithmetic.  Floats
@@ -12,6 +13,7 @@ never decide anything.
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -191,44 +193,81 @@ def _mpf_to_fraction(x) -> Fraction:
     return -v if sign else v
 
 
+def _aberth(p, dp, zs, tol, nudge):
+    """Aberth sweeps in the arithmetic of p, dp and zs: Python complex, or
+    mpmath mpc under a working precision.  p and dp are the coefficients of
+    the polynomial and of its derivative, highest degree first.
+
+    A sweep converges once every correction is below tol * max(1, |z|).
+    A zero derivative or two coincident approximations move the point by
+    nudge * (1 + |z|) when nudge is set.  Returns (zs, converged).
+    """
+    n = len(zs)
+    for _ in range(140):
+        converged = True
+        new = list(zs)
+        for i in range(n):
+            z = zs[i]
+            pv = p[0]
+            for c in p[1:]:
+                pv = pv * z + c
+            dv = dp[0]
+            for c in dp[1:]:
+                dv = dv * z + c
+            if dv == 0:
+                if not nudge:
+                    return zs, False
+                new[i] = z + nudge * (1 + abs(z)) * (1 + 1j)
+                converged = False
+                continue
+            w = pv / dv
+            s = 0
+            for j in range(n):
+                if j != i:
+                    d = z - zs[j]
+                    if d == 0:
+                        if not nudge:
+                            return zs, False
+                        d = nudge * (1 + abs(z))
+                    s += 1 / d
+            denom = 1 - w * s
+            corr = w if denom == 0 else w / denom
+            new[i] = z - corr
+            if not abs(corr) < tol * max(1, abs(z)):
+                converged = False
+        zs = new
+        if converged:
+            return zs, True
+    return zs, False
+
+
 def _aberth_sweeps(coeffs_desc, zs, prec):
     """Simultaneous-correction sweeps at the given binary precision."""
     n = len(coeffs_desc) - 1
     with mpmath.workprec(prec):
         p = [mpmath.mpf(c) for c in coeffs_desc]
         dp = [mpmath.mpf(c * (n - i)) for i, c in enumerate(coeffs_desc[:-1])]
-        zs = [mpmath.mpc(z) for z in zs]
-        tol = mpmath.mpf(2) ** (-(prec - 8))
-        for _ in range(140):
-            maxcorr = mpmath.mpf(0)
-            new = list(zs)
-            for i in range(n):
-                z = zs[i]
-                pv = mpmath.polyval(p, z)
-                dv = mpmath.polyval(dp, z)
-                if dv == 0:
-                    bump = tol * (1 + abs(z))
-                    new[i] = z + bump * mpmath.mpc(1, 1)
-                    maxcorr = max(maxcorr, bump)
-                    continue
-                w = pv / dv
-                s = mpmath.mpc(0)
-                for j in range(n):
-                    if j != i:
-                        d = z - zs[j]
-                        if d == 0:
-                            d = tol * (1 + abs(z))
-                        s += 1 / d
-                denom = 1 - w * s
-                corr = w if denom == 0 else w / denom
-                new[i] = z - corr
-                mc = abs(corr)
-                if mc > maxcorr:
-                    maxcorr = mc
-            zs = new
-            if maxcorr < tol * 4:
-                break
+        nudge = mpmath.mpf(2) ** (-(prec - 8))
+        zs, _ = _aberth(p, dp, [mpmath.mpc(z) for z in zs], 4 * nudge, nudge)
         return zs
+
+
+def _float_seed(p: IntPoly):
+    """Approximate roots from Aberth sweeps in hardware floats, started
+    from the circle of _initial_points; None on overflow, a non-finite
+    value, a zero derivative, coincident approximations or no convergence."""
+    n = p.degree
+    desc = [p.coeffs[-1 - i] for i in range(n + 1)]
+    try:
+        fp = [float(c) for c in desc]
+        fdp = [float(c * (n - i)) for i, c in enumerate(desc[:-1])]
+        start = [complex(z) for z in _initial_points(p, 53)]
+        zs, converged = _aberth(fp, fdp, start, 1e-13, None)
+    except OverflowError:
+        return None
+    if not converged or not all(cmath.isfinite(z) for z in zs):
+        return None
+    return zs
 
 
 def _initial_points(p: IntPoly, prec):
@@ -305,7 +344,10 @@ class _Isolation:
     def __init__(self, p: IntPoly):
         self.p = p
         self.prec = 128
-        self.zs = _initial_points(p, self.prec)
+        seed = _float_seed(p)
+        # float seeds are certified as they are before any sweep
+        self._sweep = seed is None
+        self.zs = _initial_points(p, self.prec) if seed is None else seed
         self.balls = None
         self._desc = tuple(p.coeffs[-1 - i] for i in range(p.degree + 1))
 
@@ -314,7 +356,8 @@ class _Isolation:
         while True:
             if self.balls is not None and all(b.rad <= eps for b in self.balls):
                 return self.balls
-            self.zs = _aberth_sweeps(self._desc, self.zs, self.prec)
+            if self._sweep:
+                self.zs = _aberth_sweeps(self._desc, self.zs, self.prec)
             cand = _certified_balls(self.p, self.zs, self.prec)
             if cand is not None and all(b.rad <= eps for b in cand):
                 if self.balls is not None:
@@ -327,7 +370,12 @@ class _Isolation:
                     cand = matched
                 self.balls = cand
                 self._self_check()
+                self._sweep = True
                 return self.balls
+            if not self._sweep:
+                # the seeds did not certify: sweep before doubling
+                self._sweep = True
+                continue
             self.prec *= 2
             if self.prec > _MAX_PREC:
                 raise PrecisionExhausted(
@@ -453,9 +501,12 @@ class RootSystem:
     exactly {two gt1, two eq1, two lt1} with no real root is ordered as
     (unit root with Im>0, its conjugate, the modulus>1 root with Im>0, its
     reciprocal, the conjugate of that reciprocal, the conjugate of the
-    modulus>1 root); anything else is sorted by modulus, positive
-    imaginary part first.  conj and recip are index involutions; recip is
-    present exactly when the root set is closed under z -> 1/z.
+    modulus>1 root); anything else is sorted by modulus, a conjugate pair
+    by the real part it shares, positive imaginary part first.  Moduli
+    known to be equal (unit roots, conjugate pairs) tie exactly, so the
+    order does not depend on how the disks were found.  conj and recip are
+    index involutions; recip is present exactly when the root set is
+    closed under z -> 1/z.
     """
 
     poly: IntPoly
@@ -544,7 +595,10 @@ def isolate_roots(p: IntPoly, eps) -> RootSystem:
     g = poly_gcd(p, p.reverse())
     recip_subset = {}
     if g.degree > 0:
-        sub = sorted(_certify_factor_roots(g, state, "self-reciprocal part"))
+        if g.degree == n:
+            sub = range(n)
+        else:
+            sub = sorted(_certify_factor_roots(g, state, "self-reciprocal part"))
         recip_subset = _pair_indices(sub, lambda b: b.invert(), state, "reciprocal")
     recip = None
     if g.degree == n:
@@ -620,9 +674,12 @@ def _canonical_order(p, state, conj, recip, classes):
         return [z1, conj[z1], z3, z4, conj[z4], conj[z3]], "special-canonical"
     key = []
     for i in range(n):
-        b = state.balls[i]
-        im_rank = 0 if b.im > 0 else (1 if b.im == 0 else 2)
-        key.append((b.center_abs_sq(), im_rank, b.re, i))
+        # a pair's two disks lie off the real axis, so their centers'
+        # imaginary signs are certified
+        b, c = state.balls[i], state.balls[conj[i]]
+        modsq = 1 if classes[i] == "eq1" else min(b.center_abs_sq(), c.center_abs_sq())
+        im_rank = 1 if conj[i] == i else (0 if b.im > 0 else 2)
+        key.append((modsq, min(b.re, c.re), im_rank, i))
     return [k[-1] for k in sorted(key)], "modulus-then-conjugate"
 
 

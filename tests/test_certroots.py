@@ -1,11 +1,13 @@
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+from salemtori import certroots
 from salemtori.certroots import (
     CertValue,
     ComplexBall,
@@ -23,6 +25,7 @@ from salemtori.exceptions import (
     VerificationFailed,
 )
 from salemtori.intpoly import IntPoly, factor_over_z, is_squarefree
+from salemtori.salem import enumerate_special
 
 P1 = IntPoly.parse("1,3,5,5,5,3,1")
 CUBIC = IntPoly.parse("-1,-1,0,1")  # t^3 - t - 1
@@ -223,6 +226,88 @@ def test_rejects_constant_and_bad_eps():
         isolate_roots(IntPoly.parse("5"), EPS)
     with pytest.raises(InputError):
         isolate_roots(P1, 0)
+
+
+# ---- float seeds and the self-reciprocal shortcut ----
+
+# the cyclotomic and Salem factors of the lattice-maps benchmark's table
+TABLE_FACTORS = (
+    "1,1,1", "1,0,1", "1,-1,1", "1,1,1,1,1", "1,0,0,0,1", "1,-1,1,-1,1",
+    "1,0,-1,0,1", "1,-3,1", "1,-4,1", "1,-5,1", "1,-1,-1,-1,1",
+    "1,-2,1,-2,1", "1,-3,3,-3,1", "1,-5,7,-5,1", "1,0,-1,-1,-1,0,1",
+    "1,0,0,-1,-1,-1,0,0,1",
+)
+WORKED = ("1,3,5,5,5,3,1", "1,-5,13,-11,13,-5,1", "1,1,3,1,3,1,1")
+
+
+def _public(rs):
+    return rs.roots, rs.conj, rs.recip, rs.modulus_class, rs.labeling
+
+
+def test_float_seeds_and_circle_start_agree(monkeypatch):
+    # the order of equal-modulus roots must not depend on where the
+    # approximations came from
+    polys = [p for _t, p, _c in enumerate_special(1)]
+    polys += [IntPoly.parse(t) for t in TABLE_FACTORS + WORKED]
+    seeded = []
+    for p in polys:
+        assert certroots._float_seed(p) is not None
+        rs = isolate_roots(p, Fraction(1, 1 << 24))
+        seeded.append((_public(rs), _public(rs.refine(Fraction(1, 1 << 80)))))
+    monkeypatch.setattr(certroots, "_float_seed", lambda p: None)
+    for p, want in zip(polys, seeded):
+        rs = isolate_roots(p, Fraction(1, 1 << 24))
+        got = (_public(rs), _public(rs.refine(Fraction(1, 1 << 80))))
+        assert got == want, str(p)
+
+
+def test_overflowing_coefficients_fall_back_to_circle_start():
+    # x^2 - 10^400 x + 1: no float holds the middle coefficient
+    p = IntPoly((1, -(10**400), 1))
+    assert certroots._float_seed(p) is None
+    start = time.perf_counter()
+    rs = isolate_roots(p, Fraction(1, 1 << 24))
+    assert time.perf_counter() - start < 10
+    big = rs.modulus_class.index("gt1")
+    assert abs(rs.roots[big].re - 10**400) < 1
+    assert abs(rs.roots[1 - big].re) < Fraction(1, 1 << 20)
+
+
+@pytest.mark.parametrize("n,a", [(7, 10), (9, 30)])
+def test_mignotte_cluster_certifies(n, a):
+    # x^n - 2(ax - 1)^2 has two real roots about a^-(n/2 + 1) from 1/a
+    p = IntPoly.parse("0,1") ** n - 2 * IntPoly((-1, a)) ** 2
+    start = time.perf_counter()
+    rs = isolate_roots(p, Fraction(1, 1 << 24))
+    assert time.perf_counter() - start < 10
+    assert len(rs.roots) == n
+    for b, c in itertools.combinations(rs.roots, 2):
+        assert b.is_disjoint(c)
+    near = [
+        i
+        for i, b in enumerate(rs.roots)
+        if abs(b.re - Fraction(1, a)) < Fraction(1, a**3)
+    ]
+    assert len(near) == 2
+    assert all(rs.conj[i] == i for i in near)
+
+
+def test_self_reciprocal_polynomials_skip_the_membership_pass(monkeypatch):
+    calls = []
+    certify = certroots._certify_factor_roots
+
+    def counting(g, state, what="factor membership"):
+        calls.append(g)
+        return certify(g, state, what)
+
+    monkeypatch.setattr(certroots, "_certify_factor_roots", counting)
+    for p in (P1, IntPoly.parse("1,1,1,1,1")):
+        assert isolate_roots(p, EPS).recip is not None
+    assert calls == []
+    # (x^2 - 3x + 1)(x^3 - x - 1): the reciprocal part has degree 2 of 5
+    rs = isolate_roots(IntPoly.parse("1,-3,1") * CUBIC, EPS)
+    assert [g.degree for g in calls] == [2]
+    assert rs.recip is None
 
 
 # ---- invariants ----

@@ -16,7 +16,6 @@ from salemtori.exactlin import (
     companion,
     det,
     hnf_columns,
-    is_unimodular,
     kernel_basis,
     matrix_poly_eval,
     minimal_polynomial,
@@ -25,12 +24,12 @@ from salemtori.exactlin import (
     saturate,
     smith_normal_form,
     solve_columns_exact,
-    unimodular_completion,
     wedge_basis,
     wedge_power,
 )
 from salemtori.intpoly import IntPoly, squarefree_part
 from salemtori.salem import gross_mcmullen
+from unimodular import is_unimodular, unimodular_completion
 
 P1 = IntPoly.parse("1,3,5,5,5,3,1")
 

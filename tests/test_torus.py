@@ -20,7 +20,6 @@ from salemtori.exactlin import (
     restricted_matrix,
     saturate,
     solve_columns_exact,
-    unimodular_completion,
 )
 from salemtori.exceptions import (
     InadmissibleTriple,
@@ -41,6 +40,7 @@ from salemtori.torus import (
     product_torus_example,
     standard_construction,
 )
+from unimodular import unimodular_completion
 
 P1 = IntPoly.parse("1,3,5,5,5,3,1")
 P2 = IntPoly.parse("1,-5,13,-11,13,-5,1")
