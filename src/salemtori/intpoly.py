@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exceptions import (
+    BadRank,
     ConstantPolynomial,
     EndpointIsRoot,
     InputError,
@@ -21,6 +22,7 @@ from .exceptions import (
     NotMonic,
     NotReciprocal,
     OddDegree,
+    VerificationFailed,
 )
 
 Rat = Fraction
@@ -502,6 +504,93 @@ def real_root_enclosure(p: IntPoly, lo, hi, eps) -> tuple:
         else:
             hi, fhi = mid, fm
     return (lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# composed products from power sums
+#
+# A polynomial whose roots are products of roots of monic integer
+# polynomials has power sums read off theirs, and Newton's identities turn
+# power sums back into coefficients with exact integer divisions (Bostan,
+# Flajolet, Salvy, Schost, "Fast computation of special resultants",
+# J. Symbolic Comput. 41, 2006).  They give the characteristic polynomials
+# of wedge powers and Kronecker products of companion matrices without
+# forming the matrices.
+
+
+def power_sums(p: IntPoly, m: int) -> tuple:
+    """(P_1, ..., P_m): P_j is the sum of the j-th powers of the roots of
+    monic p, counted with multiplicity."""
+    if not p.is_monic():
+        raise NotMonic(str(p))
+    n = p.degree
+    c = p.coeffs
+    s = [n]
+    for k in range(1, m + 1):
+        # Newton: P_k + sum_{i>=1} c_{n-i} P_{k-i} = 0, with k c_{n-k}
+        # in place of c_{n-k} P_0 while k <= n
+        acc = k * c[n - k] if k <= n else 0
+        for i in range(1, min(k - 1, n) + 1):
+            acc += c[n - i] * s[k - i]
+        s.append(-acc)
+    return tuple(s[1:])
+
+
+def from_power_sums(s) -> IntPoly:
+    """The monic polynomial of degree len(s) whose roots have the power
+    sums s = (P_1, ..., P_N).  Each Newton step divides by k; a remainder
+    means s are not the power sums of algebraic integers."""
+    n = len(s)
+    c = [0] * n + [1]
+    for k in range(1, n + 1):
+        acc = s[k - 1] + sum(c[n - i] * s[k - 1 - i] for i in range(1, k))
+        q, r = divmod(acc, k)
+        if r:
+            raise VerificationFailed(f"Newton step {k} of {n} is not an exact division")
+        c[n - k] = -q
+    return IntPoly(tuple(c))
+
+
+def taylor_shift(p: IntPoly, c: int) -> IntPoly:
+    """p(t + c), by repeated synthetic division."""
+    a = list(p.coeffs)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += c * a[j + 1]
+    return IntPoly(tuple(a))
+
+
+def exterior_resolvent(p: IntPoly, k: int) -> IntPoly:
+    """The monic polynomial whose roots are the products of the k-subsets
+    of the roots of monic p, the char poly of the k-th exterior power of
+    its companion.  Its j-th power sum is e_k of the j-th powers of the
+    roots, which Newton gives from P_j, P_2j, ..., P_kj."""
+    if not p.is_monic():
+        raise NotMonic(str(p))
+    n = p.degree
+    if k < 1 or k > n:
+        raise BadRank(f"exterior power {k} of a degree-{n} polynomial")
+    size = math.comb(n, k)
+    ps = power_sums(p, k * size)
+    sign = (-1) ** k
+    return from_power_sums(
+        [sign * from_power_sums(ps[j - 1 : k * j : j]).coeffs[0] for j in range(1, size + 1)]
+    )
+
+
+def shifted_pair_resolvent(p: IntPoly, c: int) -> IntPoly:
+    """The monic polynomial whose roots are a_i a_j + c (a_i + a_j), i < j,
+    over the roots of monic p.  These are (a_i + c)(a_j + c) - c^2, so it
+    is the exterior square of p(t - c) moved by c^2."""
+    return taylor_shift(exterior_resolvent(taylor_shift(p, -c), 2), c * c)
+
+
+def composed_product(f: IntPoly, g: IntPoly) -> IntPoly:
+    """The monic polynomial whose roots are the products of a root of
+    monic f and a root of monic g, the char poly of the Kronecker product
+    of their companions; its power sums are P_j(f) P_j(g)."""
+    n = f.degree * g.degree
+    return from_power_sums([a * b for a, b in zip(power_sums(f, n), power_sums(g, n))])
 
 
 # ---------------------------------------------------------------------------

@@ -32,14 +32,7 @@ from .certroots import (
     derived_value,
     isolate_roots,
 )
-from .exactlin import (
-    IntMatrix,
-    additive_compound2,
-    char_poly,
-    companion,
-    det,
-    wedge_power,
-)
+from .exactlin import IntMatrix, char_poly, companion, det
 from .exceptions import (
     ClassificationRequired,
     CollisionUnresolved,
@@ -55,11 +48,14 @@ from .exceptions import (
 from .intpoly import (
     IntPoly,
     cauchy_bound,
+    composed_product,
     count_real_roots,
+    exterior_resolvent,
     factor_over_z,
     is_irreducible,
     is_squarefree,
     real_root_enclosure,
+    shifted_pair_resolvent,
     squarefree_part,
     sturm_count,
 )
@@ -240,9 +236,9 @@ class SexticAnalysis:
 
     @cached_property
     def wedge2_factors(self):
-        """Factorization of char_poly(wedge^2), whose roots are the 15 pair
-        products."""
-        return factor_over_z(char_poly(wedge_power(self.companion_matrix, 2)))
+        """Factorization of the exterior-square resolvent, whose roots are
+        the 15 pair products."""
+        return factor_over_z(exterior_resolvent(self.poly, 2))
 
     @cached_property
     def wedge2_match(self):
@@ -274,10 +270,8 @@ class SexticAnalysis:
         )
         if conclusive:
             return _partition_from_match(self.wedge2_match), ("pair-products", 0)
-        w2 = wedge_power(self.companion_matrix, 2)
-        addc = additive_compound2(self.companion_matrix)
         for c in range(1, c_max + 1):
-            resolvent = char_poly(w2 + addc * c)
+            resolvent = shifted_pair_resolvent(self.poly, c)
             if not is_squarefree(resolvent):
                 continue
             fl = factor_over_z(resolvent)
@@ -288,7 +282,7 @@ class SexticAnalysis:
 
     @cached_property
     def wedge3_char_poly(self) -> IntPoly:
-        return char_poly(wedge_power(self.companion_matrix, 3))
+        return exterior_resolvent(self.poly, 3)
 
     @cached_property
     def octet(self):
@@ -502,12 +496,6 @@ def square_value_poly(f: IntPoly) -> IntPoly:
     return w
 
 
-def _diagonalizable_min_poly(a: IntMatrix) -> IntPoly:
-    # a wedge power or kron product of companions of squarefree polynomials
-    # is diagonalizable, so its minimal polynomial is the char poly's radical
-    return squarefree_part(char_poly(a))
-
-
 def _min_poly_of_modsq(spec: _Spectrum, fi, si) -> IntPoly:
     """Exact minimal polynomial of |root|^2 for one spectrum slot."""
     f = spec.factor(fi)
@@ -515,7 +503,7 @@ def _min_poly_of_modsq(spec: _Spectrum, fi, si) -> IntPoly:
     if spec.is_real(fi, si):
         poly = square_value_poly(f)
     else:
-        poly = _diagonalizable_min_poly(wedge_power(companion(f), 2))
+        poly = squarefree_part(exterior_resolvent(f, 2))
     roots = FactorRoots(factor_over_z(poly))
     return roots.factor(roots.locate(v)[0])
 
@@ -692,10 +680,10 @@ def _salem_first(spec: _Spectrum, order) -> bool:
     if spec.is_real(*a) and spec.is_real(*b):
         # product of two real eigenvalues; take the modulus of the product
         v = spec.product_value(a, b)
-        fa = spec.factor(a[0])
-        fb = spec.factor(b[0])
-        poly = _real_pair_product_poly(fa, fb, a[0] == b[0])
-        roots = FactorRoots(factor_over_z(poly))
+        fa, fb = spec.factor(a[0]), spec.factor(b[0])
+        # two roots of one factor, or one root of each
+        poly = exterior_resolvent(fa, 2) if a[0] == b[0] else composed_product(fa, fb)
+        roots = FactorRoots(factor_over_z(squarefree_part(poly)))
         m = roots.factor(roots.locate(v)[0])
         if v.ball.re - v.ball.rad < 0:
             m = m.negate_variable()
@@ -703,14 +691,6 @@ def _salem_first(spec: _Spectrum, order) -> bool:
                 m = -m
         return is_salem(m).is_salem
     return False
-
-
-def _real_pair_product_poly(fa: IntPoly, fb: IntPoly, same: bool) -> IntPoly:
-    """A polynomial whose roots include all pairwise products of a root of
-    fa and a root of fb (distinct slots when same factor)."""
-    if same:
-        return _diagonalizable_min_poly(wedge_power(companion(fa), 2))
-    return _diagonalizable_min_poly(companion(fa).kron(companion(fb)))
 
 
 # ---------------------------------------------------------------------------

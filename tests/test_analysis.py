@@ -3,14 +3,15 @@
 Each public question on a special sextic classifies it once and isolates
 its roots once, and one analysis passed to several questions does both
 only once in total.  Root isolations of resolvent factors (inside value
-matching) are not counted.
+matching) are not counted.  None of them builds a matrix characteristic
+polynomial: the pair and triple resolvents come from power sums.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from salemtori import certroots, galois, salem, torus
+from salemtori import certroots, exactlin, galois, salem, torus
 from salemtori.exceptions import NotSpecial
 from salemtori.intpoly import FactorList, IntPoly
 from salemtori.salem import SexticAnalysis, classify_special
@@ -53,6 +54,33 @@ def counts(monkeypatch):
 def test_each_question_classifies_and_isolates_once(counts, question):
     question(P1)
     assert counts == {"classify": 1, "isolate": 1}
+
+
+@pytest.fixture
+def matrix_counts(monkeypatch):
+    seen = {"char_poly": 0, "wedge_power": 0}
+    for name in seen:
+
+        def counting(*args, _name=name, _real=getattr(exactlin, name)):
+            seen[_name] += 1
+            return _real(*args)
+
+        for module in (exactlin, salem, galois, torus):
+            monkeypatch.setattr(module, name, counting, raising=False)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "question",
+    [torus.picard_table, galois.galois_class, salem.first_dynamical_degree_salem],
+    ids=["picard_table", "galois_class", "first_dynamical_degree_salem"],
+)
+def test_questions_build_no_matrix_char_poly(matrix_counts, question):
+    question(P1)
+    assert matrix_counts == {"char_poly": 0, "wedge_power": 0}
+    # the counter sees the lattice map's own char poly
+    salem.dynamical_degrees(exactlin.companion(P1), 3)
+    assert matrix_counts == {"char_poly": 1, "wedge_power": 0}
 
 
 def test_one_analysis_shared_by_all_questions(counts):
