@@ -31,6 +31,8 @@ from .exceptions import (
 from .intpoly import IntPoly, cauchy_bound, gcd as poly_gcd, is_squarefree
 
 _MAX_PREC = 1 << 16
+# refinement rounds refine_until allows any one decision
+_MAX_ROUNDS = 80
 
 
 def _sqrt_upper(q: Fraction, bits: int = 0) -> Fraction:
@@ -384,13 +386,10 @@ class _Isolation:
 
     def shrink(self):
         """Refine all disks by a fixed factor."""
-        target = None
-        for b in self.balls:
-            if b.rad > 0 and (target is None or b.rad < target):
-                target = b.rad
-        if target is None:
+        radii = [b.rad for b in self.balls if b.rad > 0]
+        if not radii:
             raise PrecisionExhausted("exact points cannot be refined further")
-        self.ensure(target / 4)
+        self.ensure(min(radii) / 4)
 
     def _self_check(self):
         p = self.p
@@ -421,6 +420,18 @@ def _try_match(old_balls, new_balls):
     return out
 
 
+def refine_until(decide, refine, stage: str):
+    """The first result of decide() other than None, calling refine()
+    after each None; PrecisionExhausted naming the stage and the rounds
+    spent when _MAX_ROUNDS refinements leave it undecided."""
+    for _ in range(_MAX_ROUNDS):
+        out = decide()
+        if out is not None:
+            return out
+        refine()
+    raise PrecisionExhausted(f"{stage} undecided after {_MAX_ROUNDS} refinement rounds")
+
+
 # ---------------------------------------------------------------------------
 # certified pairings (all on raw state balls, by index)
 
@@ -428,52 +439,47 @@ def _try_match(old_balls, new_balls):
 def _pair_indices(idxs, image, state, what):
     """The involution sending each root to the unique root inside
     image(its disk); refines until the match is unambiguous."""
-    idxs = list(idxs)
-    for _ in range(64):
+
+    def decide():
         pairing = {}
-        ok = True
         for i in idxs:
             try:
                 img = image(state.balls[i])
             except InputError:
-                ok = False
-                break
+                return None
             hits = [j for j in idxs if not img.is_disjoint(state.balls[j])]
             if len(hits) != 1:
-                ok = False
-                break
+                return None
             pairing[i] = hits[0]
-        if ok:
-            for i in idxs:
-                if pairing[pairing[i]] != i:
-                    raise VerificationFailed(f"{what} pairing is not an involution")
-            return pairing
-        state.shrink()
-    raise PrecisionExhausted(f"{what} pairing did not stabilize")
+        return pairing
+
+    pairing = refine_until(decide, state.shrink, f"{what} pairing")
+    for i in idxs:
+        if pairing[pairing[i]] != i:
+            raise VerificationFailed(f"{what} pairing is not an involution")
+    return pairing
 
 
 def _certify_factor_roots(g: IntPoly, state, what="factor membership"):
     """Indices whose root is a root of the divisor g, certified by
     excluding zero from g's value disk everywhere else."""
-    n = len(state.balls)
-    for _ in range(64):
-        undecided = [
+
+    def decide():
+        undecided = {
             i
-            for i in range(n)
+            for i in range(len(state.balls))
             if not evaluate_poly_on_ball(g, state.balls[i]).excludes_zero()
-        ]
-        if len(undecided) == g.degree:
-            return set(undecided)
+        }
         if len(undecided) < g.degree:
             raise VerificationFailed(f"{what}: roots undercounted")
-        state.shrink()
-    raise PrecisionExhausted(f"{what} did not stabilize")
+        return undecided if len(undecided) == g.degree else None
+
+    return refine_until(decide, state.shrink, what)
 
 
 def _certified_im_signs(idxs, state):
-    for _ in range(64):
+    def decide():
         signs = {}
-        ok = True
         for i in idxs:
             b = state.balls[i]
             if b.im - b.rad > 0:
@@ -481,21 +487,18 @@ def _certified_im_signs(idxs, state):
             elif b.im + b.rad < 0:
                 signs[i] = -1
             else:
-                ok = False
-                break
-        if ok:
-            return signs
-        state.shrink()
-    raise PrecisionExhausted("imaginary-part signs did not stabilize")
+                return None
+        return signs
+
+    return refine_until(decide, state.shrink, "imaginary-part signs")
 
 
 # ---------------------------------------------------------------------------
 # public root system
 
 
-@dataclass(frozen=True)
 class RootSystem:
-    """Isolated roots with certified pairings.
+    """Isolated roots with certified pairings, refined in place.
 
     Roots are ordered canonically.  A sextic whose modulus classes are
     exactly {two gt1, two eq1, two lt1} with no real root is ordered as
@@ -506,39 +509,41 @@ class RootSystem:
     known to be equal (unit roots, conjugate pairs) tie exactly, so the
     order does not depend on how the disks were found.  conj and recip are
     index involutions; recip is present exactly when the root set is
-    closed under z -> 1/z.
+    closed under z -> 1/z.  Index k names the same true root for the
+    lifetime of the system.
     """
 
-    poly: IntPoly
-    roots: tuple  # ComplexBalls
-    conj: tuple
-    recip: tuple | None
-    modulus_class: tuple  # "gt1" | "eq1" | "lt1"
-    labeling: str
-    eps: Fraction
+    def __init__(self, poly, state, order, conj, recip, modulus_class, labeling, eps):
+        self.poly = poly
+        self._state = state  # the _Isolation whose disks are presented
+        self._order = order  # public index -> state index
+        self.conj = conj
+        self.recip = recip
+        self.modulus_class = modulus_class  # "gt1" | "eq1" | "lt1" per root
+        self.labeling = labeling
+        self.eps = eps
+        self.roots = _presentation(state, order, eps)  # ComplexBalls
 
-    def refine(self, eps) -> "RootSystem":
-        """Same roots in the same order, radius at most eps.
+    def refine(self, eps=None):
+        """Shrink the roots in place to radius at most eps, by default
+        eps / 16; a request no finer than the current eps changes nothing.
 
         Refining at eps/2 or smaller yields disks contained in the current
         ones whenever both levels use grid-snapped presentation.
         """
-        eps = Fraction(eps)
-        state = object.__getattribute__(self, "_state")
-        order = object.__getattribute__(self, "_order")
-        roots = _presentation(state, order, eps)
-        out = RootSystem(
-            poly=self.poly,
-            roots=roots,
-            conj=self.conj,
-            recip=self.recip,
-            modulus_class=self.modulus_class,
-            labeling=self.labeling,
-            eps=eps,
-        )
-        object.__setattr__(out, "_state", state)
-        object.__setattr__(out, "_order", order)
-        return out
+        eps = self.eps / 16 if eps is None else Fraction(eps)
+        if eps < self.eps:
+            self.roots = _presentation(self._state, self._order, eps)
+            self.eps = eps
+
+
+class RootStore(dict):
+    """One RootSystem per squarefree polynomial, isolated at 2^-24 on first
+    request and refined in place by every reader; an analysis owns one."""
+
+    def __missing__(self, p: IntPoly) -> RootSystem:
+        rs = self[p] = isolate_roots(p, Fraction(1, 1 << 24))
+        return rs
 
 
 def _eps_level(eps: Fraction) -> int:
@@ -610,7 +615,8 @@ def isolate_roots(p: IntPoly, eps) -> RootSystem:
     for i in recip_subset:
         if recip_subset[i] == conj[i]:
             classes[i] = "eq1"
-    for _ in range(64):
+
+    def decide():
         for i in range(n):
             if classes[i] is None:
                 lo, hi = state.balls[i].modulus_interval()
@@ -618,11 +624,9 @@ def isolate_roots(p: IntPoly, eps) -> RootSystem:
                     classes[i] = "gt1"
                 elif hi < 1:
                     classes[i] = "lt1"
-        if all(c is not None for c in classes):
-            break
-        state.shrink()
-    else:
-        raise PrecisionExhausted("modulus classes did not stabilize")
+        return None if None in classes else classes
+
+    refine_until(decide, state.shrink, "modulus classes")
 
     order, labeling = _canonical_order(p, state, conj, recip, classes)
 
@@ -643,19 +647,7 @@ def isolate_roots(p: IntPoly, eps) -> RootSystem:
             if conj_out[recip_out[k]] != recip_out[conj_out[k]]:
                 raise VerificationFailed("pairings do not commute")
 
-    roots = _presentation(state, order, eps)
-    rs = RootSystem(
-        poly=p,
-        roots=roots,
-        conj=conj_out,
-        recip=recip_out,
-        modulus_class=classes_out,
-        labeling=labeling,
-        eps=eps,
-    )
-    object.__setattr__(rs, "_state", state)
-    object.__setattr__(rs, "_order", tuple(order))
-    return rs
+    return RootSystem(p, state, tuple(order), conj_out, recip_out, classes_out, labeling, eps)
 
 
 def _canonical_order(p, state, conj, recip, classes):
@@ -708,36 +700,37 @@ class CertValue:
         return self.ball.rad <= target
 
 
-def derived_value(current, refine, tag=None) -> CertValue:
-    """A CertValue whose disk current() computes from refinable roots;
-    shrinking calls refine() on those roots until the disk is narrow
-    enough."""
+def derived_value(current, systems, tag=None) -> CertValue:
+    """A CertValue whose disk current() computes from the roots of the
+    given RootSystems; shrinking refines them in place until the disk is
+    narrow enough."""
+
+    def refine():
+        for rs in systems:
+            rs.refine()
 
     def shrink_to(target):
-        ball = current()
-        while ball.rad > target:
-            refine()
+        def decide():
             ball = current()
-        return ball
+            return ball if ball.rad <= target else None
+
+        return refine_until(decide, refine, "derived value")
 
     return CertValue(current(), shrink_to, tag)
 
 
 class FactorRoots:
-    """One isolated root system per irreducible factor of a factorization,
-    refined in place; every derived value is located among roots here."""
+    """The root systems, taken from a RootStore, of the irreducible
+    factors of a factorization; every derived value is located among
+    roots here."""
 
-    def __init__(self, factors):
+    def __init__(self, factors, store: RootStore):
         self.factors = factors
-        self.systems = [isolate_roots(f, Fraction(1, 1 << 24)) for f, _m in factors]
+        self.store = store
+        self.systems = [store[f] for f, _m in factors]
 
     def factor(self, fi) -> IntPoly:
         return self.factors.factors[fi][0]
-
-    def refine(self, fi, eps=None):
-        """Refine factor fi's roots to radius eps, by default eps / 16."""
-        rs = self.systems[fi]
-        self.systems[fi] = rs.refine(rs.eps / 16 if eps is None else eps)
 
     def locate(self, value: CertValue):
         """(factor index, slot) of the root equal to value, a CertValue
@@ -746,11 +739,14 @@ class FactorRoots:
         Each round quarters a target radius, shrinks the value to it and
         refines to it the factors whose roots the value's disk still meets.
         Raises VerificationFailed when the disk meets no root, Ambiguous
-        when the value cannot shrink or the rounds run out.
+        when the value cannot shrink, PrecisionExhausted when the rounds
+        run out.
         """
         target = Fraction(1, 1 << 24)
-        for _ in range(80):
-            hits = [
+        hits = []
+
+        def decide():
+            hits[:] = [
                 (fi, si)
                 for fi, rs in enumerate(self.systems)
                 for si, root in enumerate(rs.roots)
@@ -758,34 +754,38 @@ class FactorRoots:
             ]
             if not hits:
                 raise VerificationFailed("a value matches no factor root")
-            if len(hits) == 1:
-                return hits[0]
+            return hits[0] if len(hits) == 1 else None
+
+        def refine():
+            nonlocal target
             target = target / 4
             if not value.shrink(target):
                 raise Ambiguous("values cannot be separated further")
             for fi in {fi for fi, _si in hits}:
-                if self.systems[fi].eps > target:
-                    self.refine(fi, target)
-        raise Ambiguous("value location did not stabilize")
+                self.systems[fi].refine(target)
+
+        return refine_until(decide, refine, "value location")
 
 
-def certify_value_match(values, factors):
+def certify_value_match(values, factors, store: RootStore):
     """Assign each value to one root slot of a factored polynomial.
 
     values: CertValue or plain ComplexBall items whose true values form,
     with multiplicity, the root multiset of the factorization.
     factors: FactorList; a factor of degree d and multiplicity k
     contributes d slots of capacity k.
+    store: the RootStore the factors' root systems are taken from.
     Returns one (factor_index, slot_index) per value, with slot loads
     verified against multiplicities.  Raises VerificationFailed when a
-    value provably matches no root, Ambiguous when separation stalls.
+    value provably matches no root, Ambiguous or PrecisionExhausted when
+    separation stalls.
     """
     total = sum(f.degree * m for f, m in factors)
     if total != len(values):
         raise VerificationFailed(
             f"value count {len(values)} does not match total root count {total}"
         )
-    roots = FactorRoots(factors)
+    roots = FactorRoots(factors, store)
     match = [roots.locate(v if isinstance(v, CertValue) else CertValue(v)) for v in values]
     loads = Counter(match)
     for fi, (f, mult) in enumerate(factors):

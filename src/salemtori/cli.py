@@ -278,7 +278,7 @@ def _log_concave(lambdas, equalities) -> bool:
 
 def _sweep_row(trace_poly, sx, args):
     failed = []
-    deg = dynamical_degrees(sx.companion_matrix, 3)
+    deg = sx.degrees
     table = picard_table(sx, c_max=args.c_max, precision_bits=args.precision_bits)
     rho_values = sorted({rep.rho for _t, _f, rep in table})
     if not is_irreducible(sx.poly):

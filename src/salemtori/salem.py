@@ -21,18 +21,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 
 from .certroots import (
     CertValue,
     ComplexBall,
     FactorRoots,
+    RootStore,
     RootSystem,
     certify_value_match,
     derived_value,
     isolate_roots,
+    refine_until,
 )
-from .exactlin import IntMatrix, char_poly, companion, det
+from .exactlin import IntMatrix, char_poly, det
 from .exceptions import (
     ClassificationRequired,
     CollisionUnresolved,
@@ -41,7 +43,6 @@ from .exceptions import (
     NotSpecial,
     NotUnimodular,
     OddDegreeRequested,
-    PrecisionExhausted,
     ScanExhausted,
     VerificationFailed,
 )
@@ -172,7 +173,8 @@ class SexticAnalysis:
     on first use and kept.  The questions on special sextics accept an
     analysis in place of the IntPoly, so one analysis passed to several
     of them shares their work.  ``roots`` is the classification's
-    special-canonical root system, refined in place as values need it.
+    special-canonical root system, refined in place as values need it;
+    ``store`` holds it and every other root system the questions isolate.
     """
 
     def __init__(self, p: IntPoly, classification: SpecialClassification | None = None):
@@ -201,15 +203,16 @@ class SexticAnalysis:
     def roots(self) -> RootSystem:
         return self.require_special().roots
 
-    def refine_roots(self, eps=None):
-        """Refine the shared roots to radius eps, by default eps / 16."""
-        self.roots = self.roots.refine(self.roots.eps / 16 if eps is None else eps)
+    @cached_property
+    def store(self) -> RootStore:
+        """One root system per polynomial whose roots the questions on this
+        sextic read, seeded with the classification's roots."""
+        cls = self.classification
+        return RootStore({self.poly: cls.roots} if cls.is_special else {})
 
     def refine_to_bits(self, precision_bits: int):
         """Make the root radius at most 2^-max(24, precision_bits)."""
-        eps = Fraction(1, 1 << max(24, precision_bits))
-        if self.roots.eps > eps:
-            self.refine_roots(eps)
+        self.roots.refine(Fraction(1, 1 << max(24, precision_bits)))
 
     def pair_value(self, i, j, c=0) -> CertValue:
         """root_i * root_j + c * (root_i + root_j), shrinkable."""
@@ -221,18 +224,21 @@ class SexticAnalysis:
                 b = b + (r[i] + r[j]) * ComplexBall.exact(c)
             return b
 
-        return derived_value(current, self.refine_roots, tag=(i, j))
+        return derived_value(current, (self.roots,), tag=(i, j))
 
     def triple_value(self, t) -> CertValue:
         def current():
             r = self.roots.roots
             return r[t[0]] * r[t[1]] * r[t[2]]
 
-        return derived_value(current, self.refine_roots, tag=t)
+        return derived_value(current, (self.roots,), tag=t)
 
     @cached_property
-    def companion_matrix(self) -> IntMatrix:
-        return companion(self.poly)
+    def degrees(self) -> DegreeReport:
+        """dynamical_degrees(companion(p), 3), read off the roots of p in
+        this analysis's store."""
+        self.require_special()
+        return _degree_report(_Spectrum(self.poly, self.store), 3)
 
     @cached_property
     def wedge2_factors(self):
@@ -244,7 +250,7 @@ class SexticAnalysis:
     def wedge2_match(self):
         """The (factor, slot) of each plain pair product, in ALL_PAIRS order."""
         values = [self.pair_value(i, j) for i, j in ALL_PAIRS]
-        return certify_value_match(values, self.wedge2_factors)
+        return certify_value_match(values, self.wedge2_factors, self.store)
 
     def pair_orbits(self, c_max: int = 100, precision_bits: int = 128):
         """(partition, route): the Galois orbit partition of the 15 pairs
@@ -276,7 +282,7 @@ class SexticAnalysis:
                 continue
             fl = factor_over_z(resolvent)
             values = [self.pair_value(i, j, c) for i, j in ALL_PAIRS]
-            match = certify_value_match(values, fl)
+            match = certify_value_match(values, fl, self.store)
             return _partition_from_match(match), ("shifted pair-products", c)
         raise CollisionUnresolved(f"no shift c <= {c_max} separates the pair values")
 
@@ -294,7 +300,7 @@ class SexticAnalysis:
         if t8.degree != 8:
             raise VerificationFailed("cube resolvent did not split off the square")
         fl = factor_over_z(t8)
-        match = certify_value_match([self.triple_value(t) for t in OCTET_TRIPLES], fl)
+        match = certify_value_match([self.triple_value(t) for t in OCTET_TRIPLES], fl, self.store)
         return t8, fl, tuple(fl.factors[fi][0] for fi, _slot in match)
 
     @cached_property
@@ -415,12 +421,12 @@ def gross_mcmullen(two_k: int, a_max: int = 10000) -> IntPoly:
 
 
 class _Spectrum(FactorRoots):
-    """Eigenvalues of an integer matrix: the refinable root systems of its
-    char poly's irreducible factors; instances carry algebraic
-    multiplicity."""
+    """Eigenvalues of an integer matrix: the root systems, taken from a
+    store, of its char poly's irreducible factors; instances carry
+    algebraic multiplicity."""
 
-    def __init__(self, chi: IntPoly):
-        super().__init__(factor_over_z(chi))
+    def __init__(self, chi: IntPoly, store: RootStore):
+        super().__init__(factor_over_z(chi), store)
 
     def instances(self):
         out = []
@@ -442,6 +448,10 @@ class _Spectrum(FactorRoots):
     def is_real(self, fi, si):
         return self.systems[fi].conj[si] == si
 
+    def systems_of(self, *insts):
+        """The distinct root systems holding the given instances."""
+        return tuple(dict.fromkeys(self.systems[fi] for fi, _si in insts))
+
     def product_value(self, a, b) -> CertValue:
         """Shrinkable disk for the product of the roots at instances a and
         b; with b the conjugate of a, for |root_a|^2."""
@@ -449,12 +459,7 @@ class _Spectrum(FactorRoots):
         def current():
             return self.ball(*a) * self.ball(*b)
 
-        def refine():
-            self.refine(a[0])
-            if b[0] != a[0]:
-                self.refine(b[0])
-
-        return derived_value(current, refine, tag=(a, b))
+        return derived_value(current, self.systems_of(a, b), tag=(a, b))
 
     def conj_instance(self, fi, si):
         return (fi, self.systems[fi].conj[si])
@@ -475,12 +480,14 @@ class _Spectrum(FactorRoots):
         if all(g != rev for g, _m in self.factors):
             return None
 
-        def inverse():
-            while not self.ball(fi, si).excludes_zero():
-                self.refine(fi)
-            return self.ball(fi, si).invert()
+        rs = self.systems[fi]
 
-        return self.locate(derived_value(inverse, lambda: self.refine(fi)))
+        def inverse():
+            b = rs.roots[si]
+            return b.invert() if b.excludes_zero() else None
+
+        value = derived_value(lambda: refine_until(inverse, rs.refine, "zero exclusion"), (rs,))
+        return self.locate(value)
 
 
 def square_value_poly(f: IntPoly) -> IntPoly:
@@ -496,28 +503,24 @@ def square_value_poly(f: IntPoly) -> IntPoly:
     return w
 
 
-def _min_poly_of_modsq(spec: _Spectrum, fi, si) -> IntPoly:
-    """Exact minimal polynomial of |root|^2 for one spectrum slot."""
+def _modsq_root(spec: _Spectrum, fi, si):
+    """(m, slot): the exact minimal polynomial m of |root|^2 for one
+    spectrum slot, and the slot of |root|^2 among the roots of m."""
     f = spec.factor(fi)
     v = spec.product_value((fi, si), spec.conj_instance(fi, si))
     if spec.is_real(fi, si):
         poly = square_value_poly(f)
     else:
         poly = squarefree_part(exterior_resolvent(f, 2))
-    roots = FactorRoots(factor_over_z(poly))
-    return roots.factor(roots.locate(v)[0])
+    roots = FactorRoots(factor_over_z(poly), spec.store)
+    gi, slot = roots.locate(v)
+    return roots.factor(gi), slot
 
 
 def _equal_modsq(spec: _Spectrum, a, b) -> bool:
-    """Exact decision |root_a| == |root_b| via minimal polynomials of the
-    modulus squares and slot matching."""
-    ma = _min_poly_of_modsq(spec, *a)
-    mb = _min_poly_of_modsq(spec, *b)
-    if ma != mb:
-        return False
-    roots = FactorRoots(factor_over_z(ma))
-    la = roots.locate(spec.product_value(a, spec.conj_instance(*a)))
-    return la == roots.locate(spec.product_value(b, spec.conj_instance(*b)))
+    """Exact decision |root_a| == |root_b|: the store holds one root system
+    per polynomial, so equal modulus squares share (m, slot)."""
+    return _modsq_root(spec, *a) == _modsq_root(spec, *b)
 
 
 def _cmp_moduli(spec: _Spectrum, a, b) -> int:
@@ -533,49 +536,41 @@ def _cmp_moduli(spec: _Spectrum, a, b) -> int:
         return -1 if ca == "lt1" else 1
     if spec.conj_instance(*a) == b:
         return 0  # conjugate roots share modulus
-    for round_ in range(48):
+    rounds = itertools.count()
+
+    def decide():
         lo_a, hi_a = spec.ball(*a).modulus_interval()
         lo_b, hi_b = spec.ball(*b).modulus_interval()
         if hi_a < lo_b:
             return -1
         if hi_b < lo_a:
             return 1
-        if round_ == 6:
-            if _equal_modsq(spec, a, b):
-                return 0
-        spec.refine(a[0])
-        if b[0] != a[0]:
-            spec.refine(b[0])
-    raise PrecisionExhausted("modulus comparison did not stabilize")
+        # moduli still overlapping after six rounds may be equal
+        if next(rounds) == 6 and _equal_modsq(spec, a, b):
+            return 0
+        return None
+
+    def refine():
+        for rs in spec.systems_of(a, b):
+            rs.refine()
+
+    return refine_until(decide, refine, "modulus comparison")
 
 
 def _sorted_instances(spec: _Spectrum):
     """Eigenvalue instances sorted by modulus, largest first, with an
     exact comparison; equal moduli are ordered by descending
     (factor, slot) index."""
-    from functools import cmp_to_key
-
     cache = {}
 
-    def cmp_pair(x, y):
-        if x == y:
-            return 0
-        key = (x, y)
-        if key not in cache:
+    def cmp(x, y):
+        if x != y and (x, y) not in cache:
             c = _cmp_moduli(spec, x, y)
-            cache[key] = c
-            cache[(y, x)] = -c
-        return cache[key]
+            cache[x, y], cache[y, x] = c, -c
+        # ties go by index, which the reversed sort makes descending
+        return cache.get((x, y)) or (-1 if x < y else 1)
 
-    def full_cmp(x, y):
-        c = cmp_pair(x, y)
-        if c != 0:
-            return c
-        # deterministic tie order: by index, which the reversed sort
-        # turns into descending index
-        return -1 if x < y else 1
-
-    return sorted(spec.instances(), key=cmp_to_key(full_cmp), reverse=True), cmp_pair
+    return sorted(spec.instances(), key=cmp_to_key(cmp), reverse=True)
 
 
 def _window_product_is_one(spec: _Spectrum, window) -> bool:
@@ -603,12 +598,13 @@ def _window_product_is_one(spec: _Spectrum, window) -> bool:
 def _modulus_interval_tight(spec: _Spectrum, inst, eps: Fraction):
     if spec.is_eq1(*inst):
         return (Fraction(1), Fraction(1))
-    for _ in range(64):
-        lo, hi = spec.ball(*inst).modulus_interval()
-        if lo > 0 and hi - lo <= eps:
-            return (lo, hi)
-        spec.refine(inst[0])
-    raise PrecisionExhausted("modulus interval did not tighten")
+    rs = spec.systems[inst[0]]
+
+    def decide():
+        lo, hi = rs.roots[inst[1]].modulus_interval()
+        return (lo, hi) if lo > 0 and hi - lo <= eps else None
+
+    return refine_until(decide, rs.refine, "modulus interval")
 
 
 def dynamical_degrees(A: IntMatrix, n: int) -> DegreeReport:
@@ -620,9 +616,12 @@ def dynamical_degrees(A: IntMatrix, n: int) -> DegreeReport:
     d = det(A)
     if abs(d) != 1:
         raise NotUnimodular(f"determinant {d}")
-    chi = char_poly(A)
-    spec = _Spectrum(chi)
-    order, _cmp = _sorted_instances(spec)
+    return _degree_report(_Spectrum(char_poly(A), RootStore()), n)
+
+
+def _degree_report(spec: _Spectrum, n: int) -> DegreeReport:
+    """The degrees of a rank-2n lattice map with eigenvalues spec."""
+    order = _sorted_instances(spec)
 
     eps = Fraction(1, 1 << 48)
     lambdas = []
@@ -675,7 +674,7 @@ def _salem_first(spec: _Spectrum, order) -> bool:
         return is_salem(f.negate_variable() if spec.ball(*a).re < 0 else f).is_salem
     # both top ranks off the circle
     if b == spec.conj_instance(*a) or (spec.is_real(*a) and a == b):
-        m = _min_poly_of_modsq(spec, *a)
+        m, _slot = _modsq_root(spec, *a)
         return is_salem(m).is_salem
     if spec.is_real(*a) and spec.is_real(*b):
         # product of two real eigenvalues; take the modulus of the product
@@ -683,7 +682,7 @@ def _salem_first(spec: _Spectrum, order) -> bool:
         fa, fb = spec.factor(a[0]), spec.factor(b[0])
         # two roots of one factor, or one root of each
         poly = exterior_resolvent(fa, 2) if a[0] == b[0] else composed_product(fa, fb)
-        roots = FactorRoots(factor_over_z(squarefree_part(poly)))
+        roots = FactorRoots(factor_over_z(squarefree_part(poly)), spec.store)
         m = roots.factor(roots.locate(v)[0])
         if v.ball.re - v.ball.rad < 0:
             m = m.negate_variable()
@@ -716,9 +715,8 @@ def first_dynamical_degree_salem(p) -> bool:
         return is_salem(sx.wedge2_factors.factors[fi][0]).is_salem
     p = sx.poly
     if p.degree == 6 and p.is_monic() and abs(p[0]) == 1 and not is_irreducible(p):
-        spec = _Spectrum(p)
-        order, _cmp = _sorted_instances(spec)
-        return _salem_first(spec, order)
+        spec = _Spectrum(p, sx.store)
+        return _salem_first(spec, _sorted_instances(spec))
     raise ClassificationRequired(
         "input must classify special or be a reducible monic unimodular sextic"
     )

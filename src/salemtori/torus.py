@@ -63,7 +63,6 @@ class TorusModel:
     poly: IntPoly
     action: IntMatrix
     triple: tuple
-    roots: object
     ap_flag: bool
     analysis: SexticAnalysis = field(repr=False, compare=False)
 
@@ -142,9 +141,8 @@ def standard_construction(p, triple, precision_bits: int = 128) -> TorusModel:
     sx.refine_to_bits(precision_bits)
     return TorusModel(
         poly=sx.poly,
-        action=sx.companion_matrix,
+        action=companion(sx.poly),
         triple=t,
-        roots=sx.roots,
         ap_flag=t in sx.product_one_triples,
         analysis=sx,
     )

@@ -2,16 +2,20 @@
 
 Each public question on a special sextic classifies it once and isolates
 its roots once, and one analysis passed to several questions does both
-only once in total.  Root isolations of resolvent factors (inside value
-matching) are not counted.  None of them builds a matrix characteristic
-polynomial: the pair and triple resolvents come from power sums.
+only once in total.  A sweep row isolates no polynomial twice, counting
+every isolation: the sextic's, its spectrum's and those of the resolvent
+factors that values are located among.  None of the questions builds a
+matrix characteristic polynomial: the pair and triple resolvents come
+from power sums.
 """
 
+import argparse
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from salemtori import certroots, exactlin, galois, salem, torus
+from salemtori import certroots, cli, exactlin, galois, salem, torus
 from salemtori.exceptions import NotSpecial
 from salemtori.intpoly import FactorList, IntPoly
 from salemtori.salem import SexticAnalysis, classify_special
@@ -104,14 +108,37 @@ def test_given_classification_is_reused(counts):
     assert counts == {"classify": 0, "isolate": 0}
 
 
+def test_sweep_row_isolates_no_polynomial_twice(monkeypatch):
+    seen = Counter()
+    isolate = certroots.isolate_roots
+
+    def counting_isolate(p, eps):
+        seen[p] += 1
+        return isolate(p, eps)
+
+    for module in (certroots, salem, galois, torus):
+        monkeypatch.setattr(module, "isolate_roots", counting_isolate, raising=False)
+    args = argparse.Namespace(c_max=100, precision_bits=128)
+    rows = 0
+    # counting starts with the classification enumerate_special hands over
+    for q, p, cls in salem.enumerate_special(1):
+        cli._sweep_row(q, SexticAnalysis(p, cls), args)
+        assert seen[p] == 1, str(p)
+        assert max(seen.values()) == 1, str(p)
+        seen.clear()
+        rows += 1
+    assert rows == 12
+
+
 def test_roots_refine_monotonically():
     sx = SexticAnalysis(P1)
     assert sx.roots.eps == Fraction(1, 1 << 24)
     sx.refine_to_bits(128)
-    fine = sx.roots
-    assert fine.eps == Fraction(1, 1 << 128)
+    fine = sx.roots.roots
+    assert sx.roots.eps == Fraction(1, 1 << 128)
     sx.refine_to_bits(64)  # coarser request: the finer roots stay
-    assert sx.roots is fine
+    assert sx.roots.roots is fine
+    assert sx.roots.eps == Fraction(1, 1 << 128)
     assert sx.roots.labeling == "special-canonical"
     galois.pair_orbit_partition(sx, precision_bits=200)
     assert sx.roots.eps <= Fraction(1, 1 << 200)

@@ -12,16 +12,19 @@ from salemtori.certroots import (
     CertValue,
     ComplexBall,
     FactorRoots,
+    RootStore,
     certify_value_match,
     derived_value,
     evaluate_poly_on_ball,
     isolate_roots,
+    refine_until,
 )
 from salemtori.exactlin import char_poly, companion, wedge_power
 from salemtori.exceptions import (
     Ambiguous,
     InputError,
     NotSquarefree,
+    PrecisionExhausted,
     VerificationFailed,
 )
 from salemtori.intpoly import IntPoly, factor_over_z, is_squarefree
@@ -253,12 +256,15 @@ def test_float_seeds_and_circle_start_agree(monkeypatch):
     for p in polys:
         assert certroots._float_seed(p) is not None
         rs = isolate_roots(p, Fraction(1, 1 << 24))
-        seeded.append((_public(rs), _public(rs.refine(Fraction(1, 1 << 80)))))
+        coarse = _public(rs)
+        rs.refine(Fraction(1, 1 << 80))
+        seeded.append((coarse, _public(rs)))
     monkeypatch.setattr(certroots, "_float_seed", lambda p: None)
     for p, want in zip(polys, seeded):
         rs = isolate_roots(p, Fraction(1, 1 << 24))
-        got = (_public(rs), _public(rs.refine(Fraction(1, 1 << 80))))
-        assert got == want, str(p)
+        coarse = _public(rs)
+        rs.refine(Fraction(1, 1 << 80))
+        assert (coarse, _public(rs)) == want, str(p)
 
 
 def test_overflowing_coefficients_fall_back_to_circle_start():
@@ -290,6 +296,42 @@ def test_mignotte_cluster_certifies(n, a):
     ]
     assert len(near) == 2
     assert all(rs.conj[i] == i for i in near)
+
+
+def test_refine_until_names_stage_and_rounds():
+    refines = []
+    assert refine_until(lambda: 0, lambda: refines.append(1), "a falsy decision") == 0
+    start = time.perf_counter()
+    with pytest.raises(PrecisionExhausted) as err:
+        refine_until(lambda: None, lambda: refines.append(1), "modulus classes")
+    assert time.perf_counter() - start < 10
+    assert len(refines) == certroots._MAX_ROUNDS
+    assert str(err.value) == (
+        f"modulus classes undecided after {certroots._MAX_ROUNDS} refinement rounds"
+    )
+
+
+class _StuckSystem:
+    """A root system whose refine never narrows anything; it fails past a
+    hard call limit instead of running forever."""
+
+    def __init__(self, limit):
+        self.calls = 0
+        self.limit = limit
+
+    def refine(self):
+        self.calls += 1
+        assert self.calls <= self.limit, "refine called without bound"
+
+
+def test_derived_value_stops_when_refine_never_narrows():
+    stuck = _StuckSystem(limit=1000)
+    value = derived_value(lambda: ComplexBall(1, 0, Fraction(1, 2)), (stuck,))
+    start = time.perf_counter()
+    with pytest.raises(PrecisionExhausted, match="derived value undecided after"):
+        value.shrink(Fraction(1, 1 << 30))
+    assert time.perf_counter() - start < 10
+    assert stuck.calls == certroots._MAX_ROUNDS
 
 
 def test_self_reciprocal_polynomials_skip_the_membership_pass(monkeypatch):
@@ -338,13 +380,29 @@ def test_involutions_commute():
 
 def test_refine_preserves_structure():
     rs = isolate_roots(P1, EPS)
-    fine = rs.refine(EPS / 1024)
-    assert fine.conj == rs.conj
-    assert fine.recip == rs.recip
-    assert fine.modulus_class == rs.modulus_class
+    coarse, conj, recip, classes = rs.roots, rs.conj, rs.recip, rs.modulus_class
+    rs.refine(EPS / 1024)
+    assert rs.conj == conj
+    assert rs.recip == recip
+    assert rs.modulus_class == classes
     for i in range(6):
-        assert rs.roots[i].contains_ball(fine.roots[i])
-        assert fine.roots[i].rad <= EPS / 1024
+        assert coarse[i].contains_ball(rs.roots[i])
+        assert rs.roots[i].rad <= EPS / 1024
+
+
+def test_refine_is_in_place():
+    store = RootStore()
+    rs = store[P1]
+    coarse, eps = rs.roots, rs.eps
+    assert rs.refine() is None
+    assert store[P1] is rs
+    assert rs.eps == eps / 16
+    for old, new in zip(coarse, rs.roots):
+        assert old.contains_ball(new)
+        assert new.rad <= eps / 16
+    fine = rs.roots
+    rs.refine(eps)  # a coarser request changes nothing
+    assert rs.roots is fine and rs.eps == eps / 16
 
 
 def test_monotone_refinement_random_sextics():
@@ -374,16 +432,9 @@ def wedge2_factors():
     return factor_over_z(char_poly(wedge_power(companion(P1), 2)))
 
 
-def pair_product_values(rs_box):
+def pair_product_values(rs):
     def mk(i, j):
-        def refine_fn(target):
-            while True:
-                b = rs_box[0].roots[i] * rs_box[0].roots[j]
-                if b.rad <= target:
-                    return b
-                rs_box[0] = rs_box[0].refine(rs_box[0].eps / 16)
-
-        return CertValue(rs_box[0].roots[i] * rs_box[0].roots[j], refine_fn, tag=(i, j))
+        return derived_value(lambda: rs.roots[i] * rs.roots[j], (rs,), tag=(i, j))
 
     return [mk(i, j) for i, j in itertools.combinations(range(6), 2)]
 
@@ -391,9 +442,8 @@ def pair_product_values(rs_box):
 def test_value_match_pair_products():
     fl = wedge2_factors()
     assert fl.degrees() == [1, 1, 1, 3, 3, 6]
-    box = [isolate_roots(P1, Fraction(1, 1 << 24))]
-    values = pair_product_values(box)
-    match = certify_value_match(values, fl)
+    values = pair_product_values(isolate_roots(P1, Fraction(1, 1 << 24)))
+    match = certify_value_match(values, fl, RootStore())
     per_factor = Counter(fi for fi, _ in match)
     for fi, (f, mult) in enumerate(fl):
         assert per_factor[fi] == f.degree * mult
@@ -408,23 +458,20 @@ def test_value_match_pair_products():
 
 
 def test_derived_value_refines_roots_until_narrow():
-    state = {"rs": isolate_roots(P1, Fraction(1, 1 << 24)), "refines": 0}
+    rs = isolate_roots(P1, Fraction(1, 1 << 24))
+    start_eps = rs.eps
 
     def current():
-        r = state["rs"].roots
+        r = rs.roots
         return r[2] * r[5]  # |root_2|^2, a real number above 1
 
-    def refine():
-        state["refines"] += 1
-        state["rs"] = state["rs"].refine(state["rs"].eps / 16)
-
-    v = derived_value(current, refine, tag=(2, 5))
+    v = derived_value(current, (rs,), tag=(2, 5))
     start = v.ball
     assert v.tag == (2, 5)
     target = Fraction(1, 1 << 60)
     assert v.shrink(target)
     assert v.ball.rad <= target < start.rad
-    assert state["refines"] > 0
+    assert rs.eps < start_eps
     assert not start.is_disjoint(v.ball)
     assert abs(v.ball.im) <= v.ball.rad and v.ball.re > 1
 
@@ -432,7 +479,9 @@ def test_derived_value_refines_roots_until_narrow():
 def test_locate_refines_only_factors_the_value_meets():
     # (t-1)(t-2)(t^2+t+1); the value is 2, first known to within 3/5 of
     # 3/2, so its disk meets the roots 1 and 2 but not the cube roots of 1
-    roots = FactorRoots(factor_over_z(IntPoly.parse("2,-3,1") * IntPoly.parse("1,1,1")))
+    roots = FactorRoots(
+        factor_over_z(IntPoly.parse("2,-3,1") * IntPoly.parse("1,1,1")), RootStore()
+    )
     value = CertValue(
         ComplexBall(Fraction(3, 2), 0, Fraction(3, 5)),
         lambda target: ComplexBall(2, 0, target),
@@ -452,7 +501,7 @@ def test_value_match_rational_slot_capacity():
         ComplexBall.exact(1),
         ComplexBall.exact(3),
     ]
-    match = certify_value_match(values, fl)
+    match = certify_value_match(values, fl, RootStore())
     assert match[0] == match[1]
     assert match[2] != match[0]
 
@@ -460,17 +509,17 @@ def test_value_match_rational_slot_capacity():
 def test_value_match_detects_alien_value():
     fl = factor_over_z(IntPoly.parse("2,-3,1"))  # (t-1)(t-2)
     with pytest.raises(VerificationFailed):
-        certify_value_match([ComplexBall.exact(1), ComplexBall.exact(5)], fl)
+        certify_value_match([ComplexBall.exact(1), ComplexBall.exact(5)], fl, RootStore())
 
 
 def test_value_match_ambiguous_without_refinement():
     fl = factor_over_z(IntPoly.parse("2,-3,1"))
     wide = ComplexBall(Fraction(3, 2), Fraction(0), Fraction(2))
     with pytest.raises(Ambiguous):
-        certify_value_match([wide, ComplexBall.exact(2)], fl)
+        certify_value_match([wide, ComplexBall.exact(2)], fl, RootStore())
 
 
 def test_value_match_wrong_count():
     fl = factor_over_z(IntPoly.parse("2,-3,1"))
     with pytest.raises(VerificationFailed):
-        certify_value_match([ComplexBall.exact(1)], fl)
+        certify_value_match([ComplexBall.exact(1)], fl, RootStore())

@@ -465,3 +465,15 @@ def test_salem_first_decided_only_when_read(monkeypatch):
     assert calls == []
     assert rep.salem_first is True and rep.salem_first is True
     assert len(calls) == 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="_salem_first leaves a real top root with a nonreal second root "
+    "undecided and answers False (ROADMAP item 3)",
+)
+def test_salem_first_real_and_nonreal_top_roots():
+    # lambda_1 = 9 + 4 sqrt 5, a root of the Salem polynomial x^2 - 18x + 1
+    assert is_salem(IntPoly.parse("1,-18,1")).is_salem
+    blocks = companion(IntPoly.parse("1,-7,1")).direct_sum(companion(IntPoly.parse("1,0,7,0,1")))
+    assert dynamical_degrees(blocks, 3).salem_first is True
