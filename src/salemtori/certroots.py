@@ -4,11 +4,14 @@ Approximations come from simultaneous (Aberth) sweeps: in hardware floats
 for the first disks, in mpmath at doubling precision when those do not
 certify or finer disks are asked for.  Every guarantee is then restored
 exactly: Weierstrass correction terms are evaluated in exact dyadic
-integer arithmetic and yield disks that provably contain the roots (a connected union of k such disks holds exactly k roots,
-so pairwise disjoint disks isolate).  All downstream decisions, conjugate
-pairing, reciprocal pairing, modulus classes, matching derived values to
-resolvent factors, are made with exact rational ball arithmetic.  Floats
-never decide anything.
+integer arithmetic and yield disks that provably contain the roots (a
+connected union of k such disks holds exactly k roots, so pairwise
+disjoint disks isolate).  All downstream decisions, conjugate pairing,
+reciprocal pairing, modulus classes, matching derived values to resolvent
+factors, are made with midpoint-radius dyadic balls: integer mantissas
+over a shared power-of-two exponent, compared exactly, with the only
+inexact operation (inversion) rounded outward.  Floats never decide
+anything.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -33,149 +35,287 @@ from .intpoly import IntPoly, cauchy_bound, gcd as poly_gcd, is_squarefree
 _MAX_PREC = 1 << 16
 # refinement rounds refine_until allows any one decision
 _MAX_ROUNDS = 80
+# an outward-rounded ball lies on a grid this many bits finer than its radius
+_GUARD_BITS = 32
 
 
-def _sqrt_upper(q: Fraction, bits: int = 0) -> Fraction:
-    """Rational upper bound on sqrt(q) for q >= 0, tight on squares.
-
-    The error is at most 2^-bits / denominator; callers that must separate
-    the result from a nearby rational pass enough bits, since the default
-    resolution is as coarse as the radicand's denominator."""
-    if q < 0:
-        raise InputError("negative radicand")
-    n, d = q.numerator, q.denominator
-    m = (n * d) << (2 * bits)
-    s = math.isqrt(m)
-    if s * s == m:
-        return Fraction(s, d << bits)
-    return Fraction(s + 1, d << bits)
+def _frac(m: int, e: int) -> Fraction:
+    """The rational m * 2^e."""
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 
-def _sqrt_lower(q: Fraction, bits: int = 0) -> Fraction:
-    if q < 0:
-        raise InputError("negative radicand")
-    n, d = q.numerator, q.denominator
-    return Fraction(math.isqrt((n * d) << (2 * bits)), d << bits)
+def _modsq(a: int, b: int, e: int):
+    """(n, k) with |(a + bi) 2^e|^2 = n / 2^k in lowest terms."""
+    s = a * a + b * b
+    if s == 0:
+        return 0, 0
+    t = (s & -s).bit_length() - 1
+    k = max(0, -2 * e - t)
+    sh = 2 * e + k
+    return (s << sh if sh >= 0 else s >> -sh), k
 
 
-def _dyadic_round(x: Fraction, bits: int) -> Fraction:
-    """Nearest multiple of 2^-bits; moves x by at most 2^-(bits+1)."""
-    s = x * (1 << bits)
-    q, r = divmod(s.numerator, s.denominator)
-    if 2 * r >= s.denominator:
-        q += 1
-    return Fraction(q, 1 << bits)
+def _abs_upper(a: int, b: int, e: int):
+    """(u, k) with u / 2^k >= |(a + bi) 2^e|: the square root of the squared
+    modulus n / 2^k, rounded up at the resolution of its denominator."""
+    n, k = _modsq(a, b, e)
+    m = n << k
+    u = math.isqrt(m)
+    return (u if u * u == m else u + 1), k
 
 
-def _dyadic_ceil(x: Fraction, bits: int) -> Fraction:
-    s = x * (1 << bits)
-    return Fraction(-((-s.numerator) // s.denominator), 1 << bits)
+def _scaled_divmod(x: Fraction, g: int):
+    """(q, r, d) with x / 2^g = q + r / d and 0 <= r < d."""
+    n, d = x.numerator, x.denominator
+    if g < 0:
+        n <<= -g
+    else:
+        d <<= g
+    return (*divmod(n, d), d)
 
 
-@dataclass(frozen=True)
+def _round_half_up(m: int, e: int, bits: int) -> int:
+    """The nearest multiple of 2^-bits to m * 2^e, in units of 2^-bits,
+    halves rounded up."""
+    k = -bits - e
+    if k <= 0:
+        return m << -k
+    return (m + (1 << (k - 1))) >> k
+
+
+def _ball(re: int, im: int, rad: int, exp: int) -> "ComplexBall":
+    b = object.__new__(ComplexBall)
+    b._re, b._im, b._rad, b._exp = re, im, rad, exp
+    return b
+
+
+def _as_ball(x) -> "ComplexBall":
+    if isinstance(x, ComplexBall):
+        return x
+    return _ball(x, 0, 0, 0) if isinstance(x, int) else ComplexBall(x, 0, 0)
+
+
 class ComplexBall:
-    """Closed disk with exact rational center and radius."""
+    """Closed disk in midpoint-radius dyadic form: integer mantissas for
+    the real and imaginary parts of the center and for the radius, over
+    one shared exponent, so the disk is (re + i im, rad) * 2^exp.
 
-    re: Fraction
-    im: Fraction
-    rad: Fraction
+    ``re``, ``im`` and ``rad`` read as exact Fractions.  Built from
+    rationals that are not all dyadic, the disk is rounded outward onto a
+    grid _GUARD_BITS bits finer than its radius (for a point, than its
+    largest coordinate).  Disk tests are exact integer comparisons; +, -
+    and * are exact on dyadic input; ``invert`` rounds outward.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
-        object.__setattr__(self, "rad", Fraction(self.rad))
-        if self.rad < 0:
+    __slots__ = ("_re", "_im", "_rad", "_exp")
+
+    def __init__(self, re, im, rad):
+        re, im, rad = (x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (re, im, rad))
+        if rad < 0:
             raise InputError("negative radius")
+        dens = (re.denominator, im.denominator, rad.denominator)
+        if all(d & (d - 1) == 0 for d in dens):
+            k = max(d.bit_length() for d in dens) - 1
+            self._re, self._im, self._rad = (
+                x.numerator << (k + 1 - d.bit_length()) for x, d in zip((re, im, rad), dens)
+            )
+            self._exp = -k
+            return
+        # round the center to nearest and the radius up on the grid 2^g,
+        # then widen by one unit if the center moved
+        size = rad or max(abs(re), abs(im))
+        g = size.numerator.bit_length() - size.denominator.bit_length() - 1 - _GUARD_BITS
+        (qr, rr, dr), (qi, ri, di), (qd, rd, _d) = (_scaled_divmod(x, g) for x in (re, im, rad))
+        self._re, self._im = qr + (2 * rr >= dr), qi + (2 * ri >= di)
+        self._rad = qd + (rd != 0) + (rr != 0 or ri != 0)
+        self._exp = g
 
     @staticmethod
     def exact(re, im=0) -> "ComplexBall":
-        return ComplexBall(Fraction(re), Fraction(im), Fraction(0))
+        return ComplexBall(re, im, 0)
+
+    @property
+    def re(self) -> Fraction:
+        return _frac(self._re, self._exp)
+
+    @property
+    def im(self) -> Fraction:
+        return _frac(self._im, self._exp)
+
+    @property
+    def rad(self) -> Fraction:
+        return _frac(self._rad, self._exp)
+
+    def __repr__(self):
+        return f"ComplexBall(re={self.re!r}, im={self.im!r}, rad={self.rad!r})"
+
+    def __eq__(self, other):
+        if not isinstance(other, ComplexBall):
+            return NotImplemented
+        a, b, e = self, other, self._exp - other._exp
+        if e < 0:
+            a, b, e = b, a, -e
+        return (a._re << e, a._im << e, a._rad << e) == (b._re, b._im, b._rad)
+
+    def __hash__(self):
+        return hash((self.re, self.im, self.rad))
 
     # exact predicates
 
     def center_abs_sq(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return _frac(self._re * self._re + self._im * self._im, 2 * self._exp)
 
     def is_disjoint(self, other: "ComplexBall") -> bool:
-        dx = self.re - other.re
-        dy = self.im - other.im
-        s = self.rad + other.rad
+        k = self._exp - other._exp
+        if k >= 0:
+            dx = (self._re << k) - other._re
+            dy = (self._im << k) - other._im
+            s = (self._rad << k) + other._rad
+        else:
+            k = -k
+            dx = self._re - (other._re << k)
+            dy = self._im - (other._im << k)
+            s = self._rad + (other._rad << k)
         return dx * dx + dy * dy > s * s
 
     def contains_ball(self, other: "ComplexBall") -> bool:
-        slack = self.rad - other.rad
-        if slack < 0:
-            return False
-        dx = self.re - other.re
-        dy = self.im - other.im
-        return dx * dx + dy * dy <= slack * slack
+        k = self._exp - other._exp
+        if k >= 0:
+            dx = (self._re << k) - other._re
+            dy = (self._im << k) - other._im
+            slack = (self._rad << k) - other._rad
+        else:
+            k = -k
+            dx = self._re - (other._re << k)
+            dy = self._im - (other._im << k)
+            slack = self._rad - (other._rad << k)
+        return slack >= 0 and dx * dx + dy * dy <= slack * slack
 
     def contains_point(self, re, im=0) -> bool:
-        dx = Fraction(re) - self.re
-        dy = Fraction(im) - self.im
-        return dx * dx + dy * dy <= self.rad * self.rad
+        """Whether the rational point re + i im lies in the disk, decided by
+        integer cross-multiplication."""
+        pr, qr = re.numerator, re.denominator
+        pi, qi = im.numerator, im.denominator
+        q = qr * qi
+        x, y, r, e = pr * qi, pi * qr, self._rad * q, self._exp
+        if e >= 0:
+            dx = x - ((self._re * q) << e)
+            dy = y - ((self._im * q) << e)
+            r <<= e
+        else:
+            dx = (x << -e) - self._re * q
+            dy = (y << -e) - self._im * q
+        return dx * dx + dy * dy <= r * r
 
     def excludes_zero(self) -> bool:
-        return self.center_abs_sq() > self.rad * self.rad
+        return self._re * self._re + self._im * self._im > self._rad * self._rad
 
     def modulus_interval(self):
         """Exact rational [lo, hi] containing |z| for every z in the disk.
 
         Bound resolution beats the radius and, for exact points, the
-        denominator, so shrinking the disk (or having an exact center)
-        always tightens the answer."""
-        q = self.center_abs_sq()
-        bits = 16 + q.denominator.bit_length()
-        if self.rad > 0:
-            bits = max(bits, 16 + _eps_level(self.rad))
-        lo = _sqrt_lower(q, bits) - self.rad
-        hi = _sqrt_upper(q, bits) + self.rad
-        return (lo if lo > 0 else Fraction(0), hi)
+        denominator of the squared modulus, so shrinking the disk (or
+        having an exact center) always tightens the answer."""
+        e, r = self._exp, self._rad
+        n, k = _modsq(self._re, self._im, e)  # |center|^2 = n / 2^k
+        bits = 17 + k
+        if r:
+            bits = max(bits, 16 + _checked_level(max(4, 1 - e - r.bit_length())))
+        # sqrt(n / 2^k) to within 2^-(k + bits), below and above
+        m = n << (k + 2 * bits)
+        lo = math.isqrt(m)
+        hi = lo if lo * lo == m else lo + 1
+        f = -(k + bits)
+        if e >= f:
+            r <<= e - f
+        else:
+            lo <<= f - e
+            hi <<= f - e
+            f = e
+        lo -= r
+        return (_frac(lo, f) if lo > 0 else Fraction(0), _frac(hi + r, f))
 
-    # exact ball arithmetic
+    # ball arithmetic, exact on dyadic input
 
     def conjugate(self) -> "ComplexBall":
-        return ComplexBall(self.re, -self.im, self.rad)
+        return _ball(self._re, -self._im, self._rad, self._exp)
 
     def __neg__(self):
-        return ComplexBall(-self.re, -self.im, self.rad)
+        return _ball(-self._re, -self._im, self._rad, self._exp)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ComplexBall(self.re + other, self.im, self.rad)
-        return ComplexBall(self.re + other.re, self.im + other.im, self.rad + other.rad)
+        other = _as_ball(other)
+        k = self._exp - other._exp
+        if k >= 0:
+            return _ball(
+                (self._re << k) + other._re,
+                (self._im << k) + other._im,
+                (self._rad << k) + other._rad,
+                other._exp,
+            )
+        k = -k
+        return _ball(
+            self._re + (other._re << k),
+            self._im + (other._im << k),
+            self._rad + (other._rad << k),
+            self._exp,
+        )
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ComplexBall(self.re - other, self.im, self.rad)
-        return ComplexBall(self.re - other.re, self.im - other.im, self.rad + other.rad)
+        other = _as_ball(other)
+        return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return ComplexBall(self.re * f, self.im * f, self.rad * abs(f))
-        a = _sqrt_upper(self.center_abs_sq())
-        b = _sqrt_upper(other.center_abs_sq())
-        rad = a * other.rad + b * self.rad + self.rad * other.rad
-        return ComplexBall(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-            rad,
-        )
+        """The product disk: the exact product of the centers, with radius
+        |c1| r2 + |c2| r1 + r1 r2, each |c| rounded up by _abs_upper."""
+        other = _as_ball(other)
+        a, b, r, e = self._re, self._im, self._rad, self._exp
+        c, d, s, f = other._re, other._im, other._rad, other._exp
+        x = e + f
+        re, im = a * c - b * d, a * d + b * c
+        if not (r or s):
+            return _ball(re, im, 0, x)
+        # radius terms as (mantissa, exponent)
+        terms = [(r * s, x)]
+        if s:
+            u, k = _abs_upper(a, b, e)
+            terms.append((u * s, f - k))
+        if r:
+            u, k = _abs_upper(c, d, f)
+            terms.append((u * r, e - k))
+        g = min(x, *(t for _m, t in terms))
+        rad = sum(m << (t - g) for m, t in terms)
+        return _ball(re << (x - g), im << (x - g), rad, g)
 
     __rmul__ = __mul__
 
     def invert(self) -> "ComplexBall":
-        """Exact image disk under z -> 1/z; requires 0 outside the disk."""
-        den = self.center_abs_sq() - self.rad * self.rad
+        """Disk containing 1/z for every z in this one; requires 0 outside
+        the disk.
+
+        The exact image disk has center conj(c) / den and radius r / den,
+        den = |c|^2 - r^2.  It is rounded outward onto a grid _GUARD_BITS
+        bits finer than its radius; for an exact point, finer by
+        _GUARD_BITS bits than 2^-exp / den, the inverse of the point's
+        exponent scaled down by its squared mantissa."""
+        a, b, r, e = self._re, self._im, self._rad, self._exp
+        den = a * a + b * b - r * r  # times 2^(2e)
         if den <= 0:
             raise InputError("inversion of a disk containing zero")
-        return ComplexBall(self.re / den, -self.im / den, self.rad / den)
+        if r:
+            s = max(0, den.bit_length() - r.bit_length() + 1 + _GUARD_BITS)
+        else:
+            s = den.bit_length() + _GUARD_BITS
+        # centre and radius in units of 2^(-e-s)
+        qr, rr = divmod(a << s, den)
+        qi, ri = divmod(-b << s, den)
+        rad = -(-(r << s) // den) + (rr != 0 or ri != 0)
+        return _ball(qr + (2 * rr >= den), qi + (2 * ri >= den), rad, -e - s)
 
 
 def evaluate_poly_on_ball(p: IntPoly, b: ComplexBall) -> ComplexBall:
     """Ball guaranteed to contain p(z) for every z in b (Horner)."""
-    acc = ComplexBall.exact(0)
+    acc = _ball(0, 0, 0, 0)
     for c in reversed(p.coeffs if p.coeffs else (0,)):
         acc = acc * b + c
     return acc
@@ -185,14 +325,23 @@ def evaluate_poly_on_ball(p: IntPoly, b: ComplexBall) -> ComplexBall:
 # isolation engine
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    if not mpmath.isfinite(x):
-        raise ArithmeticError("non-finite value in root iteration")
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(int(man)) * Fraction(2) ** int(exp)
-    return -v if sign else v
+def _scaled(x, shift: int) -> int:
+    """x * 2^shift rounded to the nearest integer, halves to even, for a
+    Python float or an mpmath mpf x."""
+    if isinstance(x, float):
+        n, d = x.as_integer_ratio()
+        k = d.bit_length() - 1 - shift
+    else:
+        if not mpmath.isfinite(x):
+            raise ArithmeticError("non-finite value in root iteration")
+        sign, man, exp, _ = x._mpf_
+        n, k = (-man if sign else man), -exp - shift
+    if k <= 0:
+        return n << -k
+    q = n >> k
+    r = n - (q << k)
+    half = 1 << (k - 1)
+    return q + (r > half or (r == half and q & 1))
 
 
 def _aberth(p, dp, zs, tol, nudge):
@@ -292,22 +441,16 @@ def _certified_balls(p: IntPoly, zs, prec):
     """
     n = p.degree
     lc = p.lc
+    # centers are integers over 2^shift, radii are rounded up to 2^-(prec+8)
     shift = prec + 16
-    e = -shift
-    scale = 1 << shift
-    pts = []
-    with mpmath.workprec(prec + 32):
-        for z in zs:
-            re = _mpf_to_fraction(mpmath.re(z))
-            im = _mpf_to_fraction(mpmath.im(z))
-            pts.append((round(re * scale), round(im * scale)))
+    pts = [(_scaled(z.real, shift), _scaled(z.imag, shift)) for z in zs]
     if len(set(pts)) != n:
         return None
     coeffs = p.coeffs
     balls = []
     for i, (a, b) in enumerate(pts):
         # p(z_i) by Horner in scaled integers: after k steps the value is
-        # (va + vb*i) * 2^(e*k)
+        # (va + vb*i) * 2^(-shift*k)
         va, vb = 0, 0
         for k, c in enumerate(reversed(coeffs)):
             if k == 0:
@@ -315,19 +458,19 @@ def _certified_balls(p: IntPoly, zs, prec):
                 continue
             va, vb = va * a - vb * b, va * b + vb * a
             va += c << (k * shift)
-        num_sq = va * va + vb * vb  # |p(z_i)|^2 = num_sq * 2^(2*e*n)
+        num_sq = va * va + vb * vb  # |p(z_i)|^2 = num_sq * 2^(-2*shift*n)
         den = 1
         for j, (c, d) in enumerate(pts):
             if j != i:
                 dx = a - c
                 dy = b - d
-                den *= dx * dx + dy * dy  # each factor carries 2^(2*e)
-        # |w_i|^2 = num_sq * 2^(2en) / (lc^2 * den * 2^(2e(n-1)))
-        q = Fraction(num_sq, lc * lc * den) * Fraction(2) ** (2 * e)
-        rad = n * _sqrt_upper(q)
-        balls.append(
-            ComplexBall(Fraction(a, scale), Fraction(b, scale), _dyadic_ceil(rad, prec + 8))
-        )
+                den *= dx * dx + dy * dy  # each factor carries 2^(-2*shift)
+        # |w_i|^2 = num_sq * 2^(-2*shift) / (lc^2 * den), so the radius
+        # n |w_i| in units of 2^-(prec+8) is ceil(sqrt(x)) with
+        # x = n^2 num_sq / (lc^2 den 2^16)
+        x = -(-n * n * num_sq // ((lc * lc * den) << 16))
+        rad = math.isqrt(x - 1) + 1 if x else 0
+        balls.append(_ball(a, b, rad << 8, -shift))
     for i in range(n):
         for j in range(i + 1, n):
             if not balls[i].is_disjoint(balls[j]):
@@ -482,9 +625,9 @@ def _certified_im_signs(idxs, state):
         signs = {}
         for i in idxs:
             b = state.balls[i]
-            if b.im - b.rad > 0:
+            if b._im - b._rad > 0:
                 signs[i] = 1
-            elif b.im + b.rad < 0:
+            elif b._im + b._rad < 0:
                 signs[i] = -1
             else:
                 return None
@@ -546,14 +689,16 @@ class RootStore(dict):
         return rs
 
 
-def _eps_level(eps: Fraction) -> int:
-    """Smallest m >= 4 with 2^-m <= eps."""
-    m = 4
-    while Fraction(1, 1 << m) > eps:
-        m += 1
-        if m > _MAX_PREC:
-            raise PrecisionExhausted("eps too small")
+def _checked_level(m: int) -> int:
+    if m > _MAX_PREC:
+        raise PrecisionExhausted(f"{m} bits asked for, beyond {_MAX_PREC}")
     return m
+
+
+def _eps_level(eps: Fraction) -> int:
+    """Smallest m >= 4 with 2^-m <= eps: 2^m must reach ceil(1 / eps)."""
+    num, den = eps.numerator, eps.denominator
+    return _checked_level(max(4, (-(-den // num) - 1).bit_length()))
 
 
 def _presentation(state: _Isolation, order, eps: Fraction):
@@ -566,9 +711,9 @@ def _presentation(state: _Isolation, order, eps: Fraction):
     n = len(balls)
     snapped = []
     for b in balls:
-        re = _dyadic_round(b.re, grid)
-        im = _dyadic_round(b.im, grid)
-        snapped.append(ComplexBall(re, im, Fraction(1, 1 << m)))
+        re = _round_half_up(b._re, b._exp, grid)
+        im = _round_half_up(b._im, b._exp, grid)
+        snapped.append(_ball(re, im, 8, -grid))
     good = all(snapped[i].contains_ball(balls[i]) for i in range(n))
     if good:
         good = all(
