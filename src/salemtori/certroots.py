@@ -295,9 +295,8 @@ class ComplexBall:
 
         The exact image disk has center conj(c) / den and radius r / den,
         den = |c|^2 - r^2.  It is rounded outward onto a grid _GUARD_BITS
-        bits finer than its radius; for an exact point, finer by
-        _GUARD_BITS bits than 2^-exp / den, the inverse of the point's
-        exponent scaled down by its squared mantissa."""
+        bits finer than its radius; for an exact point, _GUARD_BITS bits
+        finer than 2^-exp / den, den taken on the mantissas."""
         a, b, r, e = self._re, self._im, self._rad, self._exp
         den = a * a + b * b - r * r  # times 2^(2e)
         if den <= 0:
@@ -713,7 +712,7 @@ def _presentation(state: _Isolation, order, eps: Fraction):
     for b in balls:
         re = _round_half_up(b._re, b._exp, grid)
         im = _round_half_up(b._im, b._exp, grid)
-        snapped.append(_ball(re, im, 8, -grid))
+        snapped.append(_ball(re, im, 8, -grid))  # radius 2^-m
     good = all(snapped[i].contains_ball(balls[i]) for i in range(n))
     if good:
         good = all(
