@@ -10,7 +10,9 @@ mechanically (load, edit, ``json.dumps(indent=2)``): the schema became
 ordered-triple resolvent, and the ``wedge-cube``, ``pair-sum`` and
 ``ordered-triple resolvent`` entries left the ``galois`` evidence.  The
 two block-matrix ``degrees`` goldens were produced by this runner before
-eigenvalue lookups went through one shared root store.
+eigenvalue lookups went through one shared root store.  The two
+``fibration`` goldens were produced by this runner before polynomial
+division and gcds moved from ``Fraction`` arithmetic to integers.
 
 Regenerate (only when a change of output is intended and recorded):
 
@@ -60,6 +62,10 @@ CASES["degrees-equal-moduli-blocks"] = ["degrees", _block("1,-3,1", "1,0,7,0,1")
 # inverse partners across the mutually reversed factors x^2-x-1, x^2+x-1
 CASES["degrees-reversed-blocks"] = ["degrees", _block("-1,-1,1", "-1,1,1"), "--dim", "2"]
 CASES["sweep-bound-1"] = ["sweep", "--trace-coeff-bound", "1"]
+# coprime splits with their Bezout identities: a reducible sextic, and a
+# block matrix whose char poly holds the first factor of m squared
+CASES["fibration-reducible-sextic"] = ["fibration", "1,-4,3,-3,3,-4,1"]
+CASES["fibration-coprime-blocks"] = ["fibration", _block("1,-3,1", "1,-3,1", "1,1,1")]
 
 
 def render(argv):
