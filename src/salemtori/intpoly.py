@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -177,9 +178,14 @@ class IntPoly:
         return IntPoly(tuple(v // c for v in self.coeffs))
 
     def divmod_exact(self, other: "IntPoly"):
-        """Division in QQ[t] with an integrality check on both outputs."""
-        q, r = _qdivmod(_to_frac(self), _to_frac(other))
-        return _from_frac_exact(q), _from_frac_exact(r)
+        """Long division in ZZ[t]; ArithmeticError unless the quotient and
+        remainder over QQ are integral."""
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        qr = _zdivmod(self.coeffs, other.coeffs)
+        if qr is None:
+            raise ArithmeticError("non-integer coefficients")
+        return IntPoly(tuple(qr[0])), IntPoly(tuple(qr[1]))
 
     def div_exact(self, other: "IntPoly") -> "IntPoly":
         q, r = self.divmod_exact(other)
@@ -190,10 +196,8 @@ class IntPoly:
     def divides(self, other: "IntPoly") -> bool:
         if self.is_zero():
             return other.is_zero()
-        q, r = _qdivmod(_to_frac(other), _to_frac(self))
-        if any(c != 0 for c in r):
-            return False
-        return all(c.denominator == 1 for c in q)
+        qr = _zdivmod(other.coeffs, self.coeffs)
+        return qr is not None and not qr[1]
 
     # ---- reciprocal / trace transforms ----
 
@@ -243,7 +247,138 @@ def _coerce(v) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# rational-coefficient helpers (lists of Fractions, ascending, trimmed)
+# integer kernels (coefficient lists, ascending, trimmed)
+
+
+def _zdivmod(a, b):
+    """Long division over ZZ by nonzero trimmed b: (q, r) with a = q*b + r
+    and deg r < deg b, or None as soon as lc(b) does not divide a leading
+    term, which is exactly when the quotient over QQ is not integral."""
+    r = list(a)
+    nb = len(b) - 1
+    lc = b[-1]
+    q = [0] * max(0, len(r) - nb)
+    for d in range(len(r) - nb - 1, -1, -1):
+        c = r.pop()
+        if c:
+            c, rem = divmod(c, lc)
+            if rem:
+                return None
+            q[d] = c
+            for i in range(nb):
+                r[d + i] -= c * b[i]
+    return q, _mtrim(r)
+
+
+def _prem(a, b):
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b over ZZ, for
+    deg a >= deg b; it is that power of lc(b) times the remainder over QQ."""
+    r = list(a)
+    nb = len(b) - 1
+    lc = b[-1]
+    for d in range(len(r) - nb - 1, -1, -1):
+        c = r.pop()
+        for i in range(d):
+            r[i] *= lc
+        for i in range(nb):
+            r[d + i] = r[d + i] * lc - c * b[i]
+    return _mtrim(r)
+
+
+def _primitive_part(a):
+    """a divided by its (positive) content."""
+    c = math.gcd(*a)
+    return a if c == 1 else [x // c for x in a]
+
+
+def _hvalue(a, num: int, den: int) -> int:
+    """den^deg(a) * a(num/den) for den > 0: an integer with the sign of
+    a(num/den)."""
+    v = 0
+    w = 1
+    for c in reversed(a):
+        v = v * num + c * w
+        w *= den
+    return v
+
+
+def _xi_digits(v: int, xi: int):
+    """The polynomial whose value at xi is v, with coefficients the
+    symmetric xi-adic digits of v, in (-xi/2, xi/2]."""
+    out = []
+    while v:
+        d = v % xi
+        if 2 * d > xi:
+            d -= xi
+        out.append(d)
+        v = (v - d) // xi
+    return out
+
+
+_HEU_TRIES = 6
+
+
+def _gcd_primitive(f, g):
+    """gcd of nonzero primitive f, g: primitive, positive leading coefficient.
+
+    GCDHEU (B. W. Char, K. O. Geddes, G. H. Gonnet, J. Symbolic Comput.
+    7(1), 1989): the candidate h is the primitive part of the symmetric
+    xi-adic digits of gcd(f(xi), g(xi)).  Once h divides f and g over ZZ
+    it is the gcd: the cofactors then have gcd(cf(xi), cg(xi)) =
+    content(digits) <= xi/2, while a nonconstant common factor k of theirs
+    has roots of modulus below B = 1 + |f|_inf/|lc f| (Cauchy) and so
+    |k(xi)| > (xi - B)^deg k >= xi/2 once xi >= 2B, which the start
+    xi = 2 floor(|f|_inf/|lc f|) + 4 (or the same for g) and every later
+    xi satisfy.  After _HEU_TRIES failed xi, a primitive pseudo-remainder
+    sequence decides."""
+    if len(f) == 1 or len(g) == 1:
+        return [1]
+    xi = 2 * min(max(map(abs, f)) // abs(f[-1]), max(map(abs, g)) // abs(g[-1])) + 4
+    for _ in range(_HEU_TRIES):
+        h = _primitive_part(_xi_digits(math.gcd(_hvalue(f, xi, 1), _hvalue(g, xi, 1)), xi))
+        if h[-1] < 0:
+            h = [-c for c in h]
+        fq = _zdivmod(f, h)
+        if fq is not None and not fq[1]:
+            gq = _zdivmod(g, h)
+            if gq is not None and not gq[1]:
+                return h
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return _prs_gcd(f, g)
+
+
+def _prs_gcd(f, g):
+    """gcd of nonzero primitive f, g by the primitive pseudo-remainder
+    sequence (W. S. Brown, J. ACM 18(4), 1971)."""
+    a, b = (f, g) if len(f) >= len(g) else (g, f)
+    while True:
+        r = _prem(a, b)
+        if not r:
+            break
+        a, b = b, _primitive_part(r)
+    b = _primitive_part(b)
+    return b if b[-1] > 0 else [-c for c in b]
+
+
+def gcd(p: IntPoly, q: IntPoly) -> IntPoly:
+    """Primitive gcd in ZZ[t], positive leading coefficient, times the gcd
+    of the contents of two nonzero inputs."""
+    if p.is_zero():
+        return _pos_lc(q.primitive())
+    if q.is_zero():
+        return _pos_lc(p.primitive())
+    result = IntPoly(tuple(_gcd_primitive(list(p.primitive().coeffs), list(q.primitive().coeffs))))
+    cont = math.gcd(p.content(), q.content())
+    return result * cont if cont > 1 else result
+
+
+def _pos_lc(p: IntPoly) -> IntPoly:
+    return -p if p.lc < 0 else p
+
+
+# ---------------------------------------------------------------------------
+# rational-coefficient helpers (lists of Fractions, ascending, trimmed), for
+# resultant and ext_gcd_rational
 
 
 def _to_frac(p: IntPoly):
@@ -254,12 +389,6 @@ def _ftrim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _from_frac_exact(a) -> IntPoly:
-    if any(c.denominator != 1 for c in a):
-        raise ArithmeticError("non-integer coefficients")
-    return IntPoly(tuple(int(c) for c in a))
 
 
 def _qdivmod(a, b):
@@ -278,36 +407,6 @@ def _qdivmod(a, b):
             r[d + i] -= c * b[i]
         r = _ftrim(r)
     return q, r
-
-
-def _qgcd_monic(a, b):
-    a = _ftrim(list(a))
-    b = _ftrim(list(b))
-    while b:
-        _, r = _qdivmod(a, b)
-        a, b = b, r
-    if not a:
-        return a
-    inv = 1 / a[-1]
-    return [c * inv for c in a]
-
-
-def gcd(p: IntPoly, q: IntPoly) -> IntPoly:
-    """Primitive gcd in ZZ[t], positive leading coefficient."""
-    if p.is_zero():
-        return _pos_lc(q.primitive())
-    if q.is_zero():
-        return _pos_lc(p.primitive())
-    g = _qgcd_monic(_to_frac(p), _to_frac(q))
-    den = math.lcm(*[c.denominator for c in g])
-    ints = IntPoly(tuple(int(c * den) for c in g)).primitive()
-    result = _pos_lc(ints)
-    cont = math.gcd(p.content(), q.content())
-    return result * cont if cont > 1 else result
-
-
-def _pos_lc(p: IntPoly) -> IntPoly:
-    return -p if p.lc < 0 else p
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +447,11 @@ def discriminant(p: IntPoly) -> int:
     return _as_int(Fraction(sign * r, p.lc))
 
 
-_WITNESS_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+# Coprime images mod a large prime are the rule, so one prime usually
+# settles a coprime pair; a pair with a common factor fails at every
+# prime, and three tries bound that waste before gcd decides.  Products
+# of residues stay below 2^30.
+_WITNESS_PRIMES = (32749, 32719, 32717)
 
 
 def _coprime_mod_witness(p: IntPoly, q: IntPoly) -> bool:
@@ -357,23 +460,7 @@ def _coprime_mod_witness(p: IntPoly, q: IntPoly) -> bool:
     for ell in _WITNESS_PRIMES:
         if p.lc % ell == 0:
             continue
-        a = [c % ell for c in p.coeffs]
-        b = [c % ell for c in q.coeffs]
-        while b and b[-1] == 0:
-            b.pop()
-        while b:
-            inv = pow(b[-1], -1, ell)
-            while len(a) >= len(b):
-                c = a[-1] * inv % ell
-                d = len(a) - len(b)
-                for i in range(len(b)):
-                    a[d + i] = (a[d + i] - c * b[i]) % ell
-                while a and a[-1] == 0:
-                    a.pop()
-                if not a:
-                    break
-            a, b = b, a
-        if len(a) == 1:
+        if len(_mgcd([c % ell for c in p.coeffs], [c % ell for c in q.coeffs], ell)) == 1:
             return True
     return False
 
@@ -440,24 +527,24 @@ def cauchy_bound(p: IntPoly) -> Fraction:
 
 
 def _sturm_chain(p: IntPoly):
-    chain = [_to_frac(p), _to_frac(p.derivative())]
-    while _ftrim(list(chain[-1])):
-        _, r = _qdivmod(chain[-2], chain[-1])
-        r = [-c for c in r]
-        if not _ftrim(list(r)):
-            break
-        chain.append(r)
-    return chain
+    """Sturm sequence of p as primitive integer polynomials, each a positive
+    multiple of p, p', -rem(p, p'), ...: a pseudo-remainder is lc^delta
+    times the remainder over QQ, so its sign is flipped unless that power
+    is negative, and only positive contents are divided out."""
+    chain = [_primitive_part(list(p.coeffs)), _primitive_part(list(p.derivative().coeffs))]
+    while True:
+        a, b = chain[-2], chain[-1]
+        r = _prem(a, b)
+        if not r:
+            return chain
+        if b[-1] > 0 or (len(a) - len(b)) % 2:
+            r = [-c for c in r]
+        chain.append(_primitive_part(r))
 
 
-def _sign_variations(chain, x: Fraction) -> int:
-    signs = []
-    for c in chain:
-        v = Fraction(0)
-        for coef in reversed(c):
-            v = v * x + coef
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+def _sign_variations(chain, num: int, den: int) -> int:
+    """Sign changes of the chain at num/den, den > 0, zeros skipped."""
+    signs = [v > 0 for v in (_hvalue(c, num, den) for c in chain) if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -469,10 +556,11 @@ def sturm_count(p: IntPoly, lo, hi) -> int:
     sf = squarefree_part(p)
     if sf.degree < 1:
         return 0
-    if sf.evaluate(lo) == 0 or sf.evaluate(hi) == 0:
+    ends = ((lo.numerator, lo.denominator), (hi.numerator, hi.denominator))
+    if any(_hvalue(sf.coeffs, *e) == 0 for e in ends):
         raise EndpointIsRoot(f"{p} at ({lo}, {hi})")
     chain = _sturm_chain(sf)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+    return _sign_variations(chain, *ends[0]) - _sign_variations(chain, *ends[1])
 
 
 def count_real_roots(p: IntPoly) -> int:
@@ -484,26 +572,32 @@ def real_root_enclosure(p: IntPoly, lo, hi, eps) -> tuple:
     """Shrink an isolating interval with a sign change to width <= eps.
 
     The interval must contain exactly one root of the squarefree part and
-    neither endpoint may be a root.
+    neither endpoint may be a root.  The endpoints are held as integers
+    a/den, b/den over one denominator, which each bisection doubles.
     """
-    sf = squarefree_part(p)
+    sf = squarefree_part(p).coeffs
     lo, hi, eps = Fraction(lo), Fraction(hi), Fraction(eps)
-    flo = sf.evaluate(lo)
-    fhi = sf.evaluate(hi)
+    den = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (den // lo.denominator)
+    b = hi.numerator * (den // hi.denominator)
+    flo = _hvalue(sf, a, den)
+    fhi = _hvalue(sf, b, den)
     if flo == 0 or fhi == 0:
         raise EndpointIsRoot(f"{p} at ({lo}, {hi})")
     if (flo > 0) == (fhi > 0):
         raise InputError("no sign change on the interval")
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        fm = sf.evaluate(mid)
+    while (b - a) * eps.denominator > eps.numerator * den:
+        mid = a + b
+        a, b, den = 2 * a, 2 * b, 2 * den
+        fm = _hvalue(sf, mid, den)
         if fm == 0:
-            return (mid, mid)
+            root = Fraction(mid, den)
+            return (root, root)
         if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
+            a = mid
         else:
-            hi, fhi = mid, fm
-    return (lo, hi)
+            b = mid
+    return (Fraction(a, den), Fraction(b, den))
 
 
 # ---------------------------------------------------------------------------
@@ -668,25 +762,23 @@ def _mdivmod(a, b, p):
 
 
 def _mgcd(a, b, p):
+    """Monic gcd in F_p[x]."""
     a, b = _mtrim(list(a)), _mtrim(list(b))
     while b:
-        _, r = _mdivmod(a, b, p)
-        a, b = b, r
-    if a:
+        inv = pow(b[-1], -1, p)
+        nb = len(b)
+        while len(a) >= nb:
+            c = a[-1] * inv % p
+            d = len(a) - nb
+            for i in range(nb):
+                a[d + i] = (a[d + i] - c * b[i]) % p
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    if a and a[-1] != 1:
         inv = pow(a[-1], -1, p)
         a = [c * inv % p for c in a]
     return a
-
-
-def _mpowmod(base, e, mod, p):
-    result = [1]
-    base = _mdivmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _mdivmod(_mmul(result, base, p), mod, p)[1]
-        base = _mdivmod(_mmul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
 
 
 def _msub(a, b, p):
@@ -695,21 +787,78 @@ def _msub(a, b, p):
     return _mtrim(out)
 
 
+_SLOT = 64  # bits per coefficient of a packed F_p[x] element
+
+
+def _pack(coeffs) -> int:
+    return int.from_bytes(struct.pack(f"<{len(coeffs)}Q", *coeffs), "little")
+
+
+def _unpack(v: int, n: int):
+    return struct.unpack(f"<{n}Q", v.to_bytes(8 * n, "little"))
+
+
+class _ModRing:
+    """F_p[x]/(f) for monic f of degree n >= 1.  An element is one integer
+    holding its n coefficients in 64-bit slots (Kronecker substitution;
+    J. von zur Gathen, J. Gerhard, Modern Computer Algebra, 8.4).  A
+    product of two elements has slots at most n (p - 1)^2 < 2^64, so one
+    big-integer multiply forms it with no carry between slots; its slots
+    n + k, reduced mod p, are folded back through the packed rows
+    x^(n + k) mod f, which keeps every slot under the same bound."""
+
+    def __init__(self, f, p):
+        n = len(f) - 1
+        assert n * (p - 1) ** 2 < 1 << _SLOT, "F_p[x] products overflow a slot"
+        self.n, self.p = n, p
+        self.rows = []
+        row = [-c % p for c in f[:-1]]  # x^n mod f
+        for _ in range(n - 1):
+            self.rows.append(_pack(row))
+            top = row[-1]
+            row = [0] + row[:-1]
+            if top:
+                row = [(x - top * c) % p for x, c in zip(row, f)]
+
+    def coeffs(self, v):
+        return _mtrim([c % self.p for c in _unpack(v, self.n)])
+
+    def mulmod(self, u, v):
+        n, p = self.n, self.p
+        prod = [c % p for c in _unpack(u * v, 2 * n - 1)]
+        acc = _pack(prod[:n])
+        for c, row in zip(prod[n:], self.rows):
+            if c:
+                acc += c * row
+        return _pack(self.coeffs(acc))
+
+    def powmod(self, u, e):
+        """u^e for e >= 1, by left-to-right square and multiply."""
+        r = u
+        for bit in bin(e)[3:]:
+            r = self.mulmod(r, r)
+            if bit == "1":
+                r = self.mulmod(r, u)
+        return r
+
+
 def _ddf(f, p):
     """Distinct-degree factorization of monic squarefree f mod p:
-    list of (d, product of the irreducible factors of degree d)."""
+    list of (d, product of the irreducible factors of degree d).
+    h = x^(p^d) stays reduced mod f; each gcd is taken against the
+    shrinking cofactor f*, which divides f."""
     out = []
+    ring = _ModRing(f, p)
     fstar = list(f)
-    h = [0, 1]
+    h = _pack([0, 1])
     d = 0
     while len(fstar) - 1 >= 2 * (d + 1):
         d += 1
-        h = _mpowmod(h, p, fstar, p)
-        g = _mgcd(_msub(h, [0, 1], p), fstar, p)
+        h = ring.powmod(h, p)
+        g = _mgcd(_msub(ring.coeffs(h), [0, 1], p), fstar, p)
         if len(g) - 1 > 0:
             out.append((d, g))
             fstar, _ = _mdivmod(fstar, g, p)
-            _, h = _mdivmod(h, fstar, p)
     if len(fstar) - 1 > 0:
         out.append((len(fstar) - 1, fstar))
     return out
@@ -720,24 +869,25 @@ def _edf(g, d, p, rng):
     n = len(g) - 1
     if n == d:
         return [g]
+    ring = _ModRing(g, p)
     exponent = (p ** d - 1) // 2
     while True:
         r = [rng.randrange(p) for _ in range(n)]
         r = _mtrim(r)
         if len(r) - 1 < 1:
             continue
-        h = _mpowmod(r, exponent, g, p)
-        h = _msub(h, [1], p)
+        h = _msub(ring.coeffs(ring.powmod(_pack(r), exponent)), [1], p)
         w = _mgcd(h, g, p)
         if 0 < len(w) - 1 < n:
             rest, _ = _mdivmod(g, w, p)
             return _edf(w, d, p, rng) + _edf(rest, d, p, rng)
 
 
-def _factor_mod_p(f, p, rng):
-    """Monic squarefree f mod p -> sorted list of monic irreducible factors."""
+def _factor_mod_p(ddf, p, rng):
+    """Sorted monic irreducible factors mod p of the polynomial whose
+    distinct-degree factorization is ddf."""
     out = []
-    for d, g in _ddf(f, p):
+    for d, g in ddf:
         out.extend(_edf(g, d, p, rng))
     return sorted(out, key=lambda h: (len(h), h))
 
@@ -890,11 +1040,11 @@ def _factor_squarefree_primitive(f: IntPoly):
     for p in itertools.islice(_usable_primes(f), 15):
         fp = [c % p for c in f.coeffs]
         inv = _modinv(fp[-1], p)
-        fp = [c * inv % p for c in fp]
+        ddf = _ddf([c * inv % p for c in fp], p)
         pattern = []
-        for d, g in _ddf(fp, p):
+        for d, g in ddf:
             pattern.extend([d] * ((len(g) - 1) // d))
-        trials.append((len(pattern), p, sorted(pattern)))
+        trials.append((len(pattern), p, ddf))
         sums = _subset_sums(pattern)
         allowed = sums if allowed is None else (allowed & sums)
         if not any(0 < s < f.degree for s in allowed):
@@ -903,11 +1053,8 @@ def _factor_squarefree_primitive(f: IntPoly):
             break
     if not trials:
         raise RuntimeError("no usable prime for modular factorization")
-    trials.sort()
-    _, p, _ = trials[0]
-    fp = [c % p for c in f.coeffs]
-    inv = _modinv(fp[-1], p)
-    modular = _factor_mod_p([c * inv % p for c in fp], p, rng)
+    _, p, ddf = min(trials, key=lambda t: t[:2])
+    modular = _factor_mod_p(ddf, p, rng)
     # Landau-Mignotte style bound on any factor's coefficients, times lc(f).
     bound = (1 << f.degree) * math.isqrt(_norm2_sq(f)) * abs(f.lc) + 1
     lifted, m = _multifactor_hensel([c for c in f.coeffs], modular, p, 2 * bound + 1)

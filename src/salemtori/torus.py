@@ -246,11 +246,13 @@ def build_fibrations(action: IntMatrix) -> FibrationReport:
     q1, k1 = mfl[0]
     m1 = q1**k1
     m2 = m.div_exact(m1)
-    f1 = IntPoly.parse("1")
-    for irr, mult in factor_over_z(phi).factors:
-        if irr == q1:
-            f1 = f1 * irr**mult
-    f2 = phi.div_exact(f1)
+    # f1 is the full power of q1 dividing phi, f2 its cofactor
+    f1, f2 = IntPoly((1,)), phi
+    while True:
+        q, r = f2.divmod_exact(q1)
+        if not r.is_zero():
+            break
+        f1, f2 = f1 * q1, q
     h1, h2, n = ext_gcd_rational(m1, m2)
     check = h1 * m1 + h2 * m2
     if check.degree != 0 or check.constant_term() != n:

@@ -19,7 +19,7 @@ from salemtori.certroots import (
     isolate_roots,
     refine_until,
 )
-from salemtori.exactlin import char_poly, companion, wedge_power
+from salemtori.exactlin import char_poly, companion
 from salemtori.exceptions import (
     Ambiguous,
     InputError,
@@ -29,6 +29,7 @@ from salemtori.exceptions import (
 )
 from salemtori.intpoly import IntPoly, factor_over_z, is_squarefree
 from salemtori.salem import enumerate_special
+from wedge import wedge_power
 
 P1 = IntPoly.parse("1,3,5,5,5,3,1")
 CUBIC = IntPoly.parse("-1,-1,0,1")  # t^3 - t - 1

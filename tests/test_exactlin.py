@@ -11,7 +11,6 @@ from salemtori.exceptions import BadRank, InputError, NotMonic, ZeroLattice
 from salemtori.exactlin import (
     IntMatrix,
     Lattice,
-    additive_compound2,
     char_poly,
     companion,
     det,
@@ -24,12 +23,11 @@ from salemtori.exactlin import (
     saturate,
     smith_normal_form,
     solve_columns_exact,
-    wedge_basis,
-    wedge_power,
 )
 from salemtori.intpoly import IntPoly, squarefree_part
 from salemtori.salem import gross_mcmullen
 from unimodular import is_unimodular, unimodular_completion
+from wedge import additive_compound2, wedge_basis, wedge_power
 
 P1 = IntPoly.parse("1,3,5,5,5,3,1")
 

@@ -4,19 +4,15 @@
 ``composed_product`` build from Newton's identities the characteristic
 polynomials that ``exactlin`` computes from wedge powers, additive
 compounds and Kronecker products of companion matrices.  The matrix
-forms stay in ``exactlin`` and serve here as the independent oracle.
+forms live in ``tests/wedge.py`` and serve here as the independent
+oracle.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from salemtori.exactlin import (
-    additive_compound2,
-    char_poly,
-    companion,
-    wedge_power,
-)
+from salemtori.exactlin import char_poly, companion
 from salemtori.exceptions import BadRank, NotMonic, VerificationFailed
 from salemtori.intpoly import (
     IntPoly,
@@ -27,6 +23,7 @@ from salemtori.intpoly import (
     shifted_pair_resolvent,
     taylor_shift,
 )
+from wedge import additive_compound2, wedge_power
 
 P1 = IntPoly.parse("1,3,5,5,5,3,1")
 

@@ -4,7 +4,7 @@ import mpmath
 import pytest
 
 from salemtori import salem
-from salemtori.exactlin import IntMatrix, char_poly, companion, wedge_power
+from salemtori.exactlin import IntMatrix, char_poly, companion
 from salemtori.exceptions import (
     ClassificationRequired,
     InputError,
@@ -29,6 +29,7 @@ from salemtori.salem import (
     is_salem,
     square_value_poly,
 )
+from wedge import wedge_power
 
 P1 = IntPoly.parse("1,3,5,5,5,3,1")
 P2 = IntPoly.parse("1,-5,13,-11,13,-5,1")

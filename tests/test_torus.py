@@ -7,10 +7,12 @@ re-expansion.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from salemtori import intpoly, salem, torus
 from salemtori.exactlin import (
     IntMatrix,
     char_poly,
@@ -235,6 +237,30 @@ def test_build_fibrations_conjugated_lattice():
     for comp in rep.submodules:
         for col in comp.lattice.basis.columns():
             assert comp.lattice.contains(b.apply(col))
+
+
+def test_build_fibrations_factors_only_the_minimal_polynomial(monkeypatch):
+    seen = Counter()
+    real = intpoly.factor_over_z
+
+    def counting(p):
+        seen[p] += 1
+        return real(p)
+
+    for module in (intpoly, salem, torus):
+        monkeypatch.setattr(module, "factor_over_z", counting)
+    # char poly (x^2-3x+1)^2 (x^2+x+1): the power of the first factor of m
+    # in phi comes from exact division, not from factoring phi
+    a = companion(SALEM2).direct_sum(companion(SALEM2)).direct_sum(
+        companion(IntPoly.parse("1,1,1"))
+    )
+    m = minimal_polynomial(a)
+    rep = build_fibrations(a)
+    assert seen == Counter({m: 1})
+    assert [c.induced_char_poly for c in rep.submodules] == [
+        SALEM2 * SALEM2,
+        IntPoly.parse("1,1,1"),
+    ]
 
 
 def test_build_fibrations_kernel_route():
