@@ -447,28 +447,35 @@ def discriminant(p: IntPoly) -> int:
     return _as_int(Fraction(sign * r, p.lc))
 
 
-# Coprime images mod a large prime are the rule, so one prime usually
-# settles a coprime pair; a pair with a common factor fails at every
-# prime, and three tries bound that waste before gcd decides.  Products
-# of residues stay below 2^30.
-_WITNESS_PRIMES = (32749, 32719, 32717)
+def _squarefree_mod(coeffs, ell: int) -> bool:
+    """Whether a polynomial whose leading coefficient ell does not divide
+    stays squarefree mod ell: coprime there to its derivative."""
+    a = [c % ell for c in coeffs]
+    return len(_mgcd(a, [i * c % ell for i, c in enumerate(a) if i], ell)) == 1
 
 
-def _coprime_mod_witness(p: IntPoly, q: IntPoly) -> bool:
-    """True only with proof: gcd(p, q) is constant because the images mod
-    some prime not dividing lc(p) are coprime.  False means undecided."""
+# A polynomial squarefree over QQ stays squarefree mod ell unless ell
+# divides its discriminant, so one prime of this size settles nearly every
+# squarefree input; one with a repeated factor fails at every prime, and
+# the exact gcd then decides.
+_WITNESS_PRIMES = (1009, 1013)
+
+
+def _squarefree_mod_witness(p: IntPoly) -> bool:
+    """True only with proof: p is squarefree because its image mod the
+    first witness prime not dividing lc(p) is (a repeated factor h^2 of p
+    would survive there, as lc(h) is prime to ell).  False means
+    undecided."""
     for ell in _WITNESS_PRIMES:
-        if p.lc % ell == 0:
-            continue
-        if len(_mgcd([c % ell for c in p.coeffs], [c % ell for c in q.coeffs], ell)) == 1:
-            return True
+        if p.lc % ell:
+            return _squarefree_mod(p.coeffs, ell)
     return False
 
 
 def squarefree_part(p: IntPoly) -> IntPoly:
     if p.degree < 1:
         return _pos_lc(p.primitive()) if not p.is_zero() else p
-    if _coprime_mod_witness(p, p.derivative()):
+    if _squarefree_mod_witness(p):
         return _pos_lc(p.primitive())
     g = gcd(p, p.derivative())
     if g.degree == 0:
@@ -479,7 +486,7 @@ def squarefree_part(p: IntPoly) -> IntPoly:
 def is_squarefree(p: IntPoly) -> bool:
     if p.degree < 1:
         return True
-    if _coprime_mod_witness(p, p.derivative()):
+    if _squarefree_mod_witness(p):
         return True
     return gcd(p, p.derivative()).degree == 0
 
@@ -495,7 +502,7 @@ def yun_decomposition(p: IntPoly):
     f = prim
     if f.degree < 1:
         return unit, out
-    if _coprime_mod_witness(f, f.derivative()):
+    if _squarefree_mod_witness(f):
         return unit, [(f, 1)]
     a = gcd(f, f.derivative())
     if a.degree == 0:
@@ -1022,11 +1029,7 @@ def _subset_sums(degrees):
 
 def _usable_primes(f: IntPoly):
     for p in _SMALL_PRIMES:
-        if f.lc % p == 0:
-            continue
-        fp = _mtrim([c % p for c in f.coeffs])
-        dfp = _mtrim([(i * c) % p for i, c in enumerate(f.coeffs) if i])
-        if len(_mgcd(fp, dfp, p)) - 1 == 0:
+        if f.lc % p and _squarefree_mod(f.coeffs, p):
             yield p
 
 

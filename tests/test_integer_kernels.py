@@ -341,6 +341,13 @@ def test_gcd_pseudo_remainder_fallback(a, b, common):
         assert gcd(f, g) == old_gcd(f, g)
 
 
+@given(p=any_poly)
+def test_squarefree_part_matches_fraction_gcd(p):
+    # the mod-ell witness may only answer "squarefree" with proof
+    assert squarefree_part(p) == old_squarefree_part(p)
+    assert is_squarefree(p) == (p.degree < 1 or old_gcd(p, p.derivative()).degree == 0)
+
+
 def test_gcd_of_zero_and_constants():
     zero, six = IntPoly(()), IntPoly((6,))
     f = IntPoly((4, 0, -4))  # 4 (t - 1)(t + 1)
