@@ -237,7 +237,8 @@ def old_mpowmod(base, e, mod, p):
 
 def old_msub(a, b, p):
     n = max(len(a), len(b))
-    return _mtrim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)])
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _mtrim([(x - y) % p for x, y in zip(a, b)])
 
 
 def old_ddf(f, p):
@@ -346,6 +347,17 @@ def test_squarefree_part_matches_fraction_gcd(p):
     # the mod-ell witness may only answer "squarefree" with proof
     assert squarefree_part(p) == old_squarefree_part(p)
     assert is_squarefree(p) == (p.degree < 1 or old_gcd(p, p.derivative()).degree == 0)
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [((-2, 1), (-6, 3, 8, -5)), ((9, 8, -8, -7, -2), (-7, -7, -9, 1))],
+)
+def test_gcd_candidate_must_divide_both_inputs(f, g):
+    # at the first evaluation point the digits give x - 2 (x - 1), which
+    # divides f but not g: only the division of both proves a candidate
+    f, g = IntPoly(f), IntPoly(g)
+    assert gcd(f, g) == old_gcd(f, g) == IntPoly((1,))
 
 
 def test_gcd_of_zero_and_constants():
@@ -458,7 +470,10 @@ def test_ddf_and_factor_mod_p_match_list_forms(p, cs):
     assert got == old_factor_mod_p(f, p, random.Random(seed))
 
 
-@given(p=primes, a=st.lists(st.integers(0, 1998), max_size=9), b=st.lists(st.integers(0, 1998), max_size=9))
+residues = st.lists(st.integers(0, 1998), max_size=9)
+
+
+@given(p=primes, a=residues, b=residues)
 def test_mod_gcd_matches_list_euclid(p, a, b):
     a, b = [c % p for c in a], [c % p for c in b]
     assert intpoly._mgcd(a, b, p) == old_mgcd(a, b, p)
