@@ -17,8 +17,10 @@ anything.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from collections import Counter
+from functools import cmp_to_key
 from fractions import Fraction
 
 import mpmath
@@ -30,7 +32,16 @@ from .exceptions import (
     PrecisionExhausted,
     VerificationFailed,
 )
-from .intpoly import IntPoly, cauchy_bound, gcd as poly_gcd, is_squarefree
+from .intpoly import (
+    IntPoly,
+    _hvalue,
+    cauchy_bound,
+    exterior_resolvent,
+    gcd as poly_gcd,
+    is_squarefree,
+    square_value_poly,
+    squarefree_part,
+)
 
 _MAX_PREC = 1 << 16
 # refinement rounds refine_until allows any one decision
@@ -636,6 +647,73 @@ def _certified_im_signs(idxs, state):
 
 
 # ---------------------------------------------------------------------------
+# exact modulus ties
+
+
+def _modsq_resolvent(p: IntPoly, real: bool) -> IntPoly:
+    """A polynomial with lc(p)^2 |z|^2 among its roots for every real root
+    z of p (real=True) or every nonreal one: the roots of the monic
+    q(x) = lc^(n-1) p(x / lc) are lc z, and |lc z|^2 is the square of a
+    real one or the product of a nonreal one with its conjugate."""
+    n, lc = p.degree, p.lc
+    q = IntPoly(tuple(c * lc ** (n - 1 - i) for i, c in enumerate(p.coeffs[:-1])) + (1,))
+    return square_value_poly(q) if real else exterior_resolvent(q, 2)
+
+
+def _modsq_radical(parts) -> IntPoly:
+    """The squarefree part of the product of the _modsq_resolvent of each
+    (polynomial, real) part."""
+    r = IntPoly.constant(1)
+    for p, real in parts:
+        r = r * _modsq_resolvent(p, real)
+    return squarefree_part(r)
+
+
+def _modsq_interval(b: ComplexBall, scale=1):
+    """Rational [lo, hi] holding scale * |z|^2 for every z in the disk."""
+    lo, hi = b.modulus_interval()
+    return scale * lo * lo, scale * hi * hi
+
+
+def _same_root(s: IntPoly, intervals, refine, stage: str) -> bool:
+    """Whether two real values, each a root of the squarefree s, are equal.
+    intervals() gives a rational [lo, hi] around each; refine() narrows
+    them.
+
+    Disjoint intervals answer False.  Where s changes sign across the hull
+    [m - h, m + h] of both and |s'(m)| > h max|s''| on the hull, s is
+    monotone there with one root, which both values are: True."""
+    ds = s.derivative()
+    d2 = [abs(c) for c in ds.derivative().coeffs]
+
+    def decide():
+        (a, b), (c, d) = intervals()
+        if b < c or d < a:
+            return False
+        lo, hi = min(a, c), max(b, d)
+        if lo == hi:
+            return True
+        # widen the hull onto a grid about 2^-8 of its width
+        w = hi - lo
+        g = w.denominator.bit_length() - w.numerator.bit_length() + 8
+        lo = Fraction((lo.numerator << g) // lo.denominator, 1 << g)
+        hi = Fraction(-((-hi.numerator << g) // hi.denominator), 1 << g)
+        ends = [_hvalue(s.coeffs, x.numerator, x.denominator) for x in (lo, hi)]
+        if ends[0] * ends[1] >= 0:
+            return None
+        m, h = (lo + hi) / 2, (hi - lo) / 2
+        # |s'(m)| den^deg s' against h * (an integer bound on |s''| for |x| <= r)
+        r = -(-max(-lo, hi).numerator // max(-lo, hi).denominator) or 1
+        bound = sum(c * r**k for k, c in enumerate(d2))
+        slope = _hvalue(ds.coeffs, m.numerator, m.denominator)
+        if abs(slope) * h.denominator > h.numerator * bound * m.denominator ** ds.degree:
+            return True
+        return None
+
+    return refine_until(decide, refine, stage)
+
+
+# ---------------------------------------------------------------------------
 # public root system
 
 
@@ -794,6 +872,9 @@ def isolate_roots(p: IntPoly, eps) -> RootSystem:
     return RootSystem(p, state, tuple(order), conj_out, recip_out, classes_out, labeling, eps)
 
 
+_CLASS_RANK = {"lt1": 0, "eq1": 1, "gt1": 2}
+
+
 def _canonical_order(p, state, conj, recip, classes):
     n = p.degree
     special_shape = (
@@ -808,15 +889,92 @@ def _canonical_order(p, state, conj, recip, classes):
         z3 = next(i for i in range(6) if classes[i] == "gt1" and signs[i] > 0)
         z4 = recip[z3]
         return [z1, conj[z1], z3, z4, conj[z4], conj[z3]], "special-canonical"
-    key = []
-    for i in range(n):
-        # a pair's two disks lie off the real axis, so their centers'
-        # imaginary signs are certified
-        b, c = state.balls[i], state.balls[conj[i]]
-        modsq = 1 if classes[i] == "eq1" else min(b.center_abs_sq(), c.center_abs_sq())
-        im_rank = 1 if conj[i] == i else (0 if b.im > 0 else 2)
-        key.append((modsq, min(b.re, c.re), im_rank, i))
-    return [k[-1] for k in sorted(key)], "modulus-then-conjugate"
+    return sorted(range(n), key=cmp_to_key(_root_comparison(p, state, conj, classes))), (
+        "modulus-then-conjugate"
+    )
+
+
+def _root_comparison(p, state, conj, classes):
+    """The exact order of roots by (modulus class, modulus, real part),
+    positive imaginary part first within a conjugate pair.
+
+    Two roots of one pair share modulus and real part, and a pair's disks
+    lie off the real axis, so their centers' imaginary signs are
+    certified.  Distinct pairs and real roots are compared on disks
+    refined on a 2^-(24 + 4k) schedule; moduli still overlapping after six
+    rounds may be equal, and are then decided in the resolvent whose roots
+    include lc^2 |z|^2.  Equal moduli go by the real part, which differs
+    for distinct roots that are not conjugate."""
+    level = 24
+    decided = {}
+    radicals = {}
+    intervals = {}
+
+    def refine():
+        nonlocal level
+        level += 4
+        state.ensure(Fraction(1, 1 << level))
+
+    def modulus(i):
+        b = state.balls[i]
+        if intervals.get(i, (None,))[0] is not b:
+            intervals[i] = (b, b.modulus_interval())
+        return intervals[i][1]
+
+    def equal_moduli(i, j):
+        kinds = frozenset(conj[k] == k for k in (i, j))
+        if kinds not in radicals:
+            radicals[kinds] = _modsq_radical((p, real) for real in sorted(kinds))
+        scale = p.lc * p.lc
+        return _same_root(
+            radicals[kinds],
+            lambda: [_modsq_interval(state.balls[k], scale) for k in (i, j)],
+            refine,
+            "modulus equality",
+        )
+
+    def by_modulus(i, j):
+        rounds = itertools.count()
+
+        def decide():
+            (lo_i, hi_i), (lo_j, hi_j) = modulus(i), modulus(j)
+            if hi_i < lo_j:
+                return -1
+            if hi_j < lo_i:
+                return 1
+            if next(rounds) == 6 and equal_moduli(i, j):
+                return 0
+            return None
+
+        return refine_until(decide, refine, "modulus order")
+
+    def by_real_part(i, j):
+        def decide():
+            b, c = state.balls[i], state.balls[j]
+            if b.re + b.rad < c.re - c.rad:
+                return -1
+            if c.re + c.rad < b.re - b.rad:
+                return 1
+            return None
+
+        return refine_until(decide, refine, "real-part order")
+
+    def compare(i, j):
+        if i == j:
+            return 0
+        if conj[i] == j:
+            return -1 if state.balls[i]._im > 0 else 1
+        # pairs share modulus and real part: compare one member of each
+        key = (min(i, conj[i]), min(j, conj[j]))
+        if key not in decided:
+            c = _CLASS_RANK[classes[i]] - _CLASS_RANK[classes[j]]
+            if c == 0 and classes[i] != "eq1":
+                c = by_modulus(*key)
+            c = c or by_real_part(*key)
+            decided[key], decided[key[::-1]] = c, -c
+        return decided[key]
+
+    return compare
 
 
 # ---------------------------------------------------------------------------

@@ -694,6 +694,19 @@ def composed_product(f: IntPoly, g: IntPoly) -> IntPoly:
     return from_power_sums([a * b for a, b in zip(power_sums(f, n), power_sums(g, n))])
 
 
+def square_value_poly(f: IntPoly) -> IntPoly:
+    """W with W(x^2) = +-f(x)f(-x); the roots of W are the squares of the
+    roots of f."""
+    h = f * f.negate_variable()
+    for i in range(1, len(h.coeffs), 2):
+        if h.coeffs[i] != 0:
+            raise VerificationFailed("square resolvent is not even")
+    w = IntPoly(tuple(h.coeffs[0::2]))
+    if w.lc < 0:
+        w = -w
+    return w
+
+
 # ---------------------------------------------------------------------------
 # factorization over ZZ (Zassenhaus)
 

@@ -29,6 +29,9 @@ from .certroots import (
     FactorRoots,
     RootStore,
     RootSystem,
+    _modsq_interval,
+    _modsq_radical,
+    _same_root,
     certify_value_match,
     derived_value,
     isolate_roots,
@@ -57,6 +60,7 @@ from .intpoly import (
     is_squarefree,
     real_root_enclosure,
     shifted_pair_resolvent,
+    square_value_poly,
     squarefree_part,
     sturm_count,
 )
@@ -490,19 +494,6 @@ class _Spectrum(FactorRoots):
         return self.locate(value)
 
 
-def square_value_poly(f: IntPoly) -> IntPoly:
-    """W with W(x^2) = +-f(x)f(-x); the roots of W are the squares of the
-    roots of f."""
-    h = f * f.negate_variable()
-    for i in range(1, len(h.coeffs), 2):
-        if h.coeffs[i] != 0:
-            raise VerificationFailed("square resolvent is not even")
-    w = IntPoly(tuple(h.coeffs[0::2]))
-    if w.lc < 0:
-        w = -w
-    return w
-
-
 def _modsq_root(spec: _Spectrum, fi, si):
     """(m, slot): the exact minimal polynomial m of |root|^2 for one
     spectrum slot, and the slot of |root|^2 among the roots of m."""
@@ -518,9 +509,17 @@ def _modsq_root(spec: _Spectrum, fi, si):
 
 
 def _equal_modsq(spec: _Spectrum, a, b) -> bool:
-    """Exact decision |root_a| == |root_b|: the store holds one root system
-    per polynomial, so equal modulus squares share (m, slot)."""
-    return _modsq_root(spec, *a) == _modsq_root(spec, *b)
+    """Exact decision |root_a| == |root_b|: both modulus squares are roots
+    of one resolvent of the (monic) factors, located at the same root."""
+    s = _modsq_radical({(spec.factor(x[0]), spec.is_real(*x)) for x in (a, b)})
+
+    def refine():
+        for rs in spec.systems_of(a, b):
+            rs.refine()
+
+    return _same_root(
+        s, lambda: [_modsq_interval(spec.ball(*x)) for x in (a, b)], refine, "modulus equality"
+    )
 
 
 def _cmp_moduli(spec: _Spectrum, a, b) -> int:
@@ -584,14 +583,19 @@ def _window_product_is_one(spec: _Spectrum, window) -> bool:
         partner = spec.inverse_partner(*inst)
         if partner is None:
             return False
-        # the partner or its conjugate twin works; conjugates share modulus
+        # any root of the partner's modulus works: its conjugate twin, or
+        # another root whose modulus ties with it exactly, so the answer
+        # does not depend on how equal moduli were ordered
         twin = spec.conj_instance(*partner)
         if partner in remaining:
             remaining.remove(partner)
         elif twin in remaining:
             remaining.remove(twin)
         else:
-            return False
+            tie = next((x for x in remaining if _cmp_moduli(spec, x, partner) == 0), None)
+            if tie is None:
+                return False
+            remaining.remove(tie)
     return True
 
 

@@ -242,6 +242,9 @@ TABLE_FACTORS = (
     "1,0,0,-1,-1,-1,0,0,1",
 )
 WORKED = ("1,3,5,5,5,3,1", "1,-5,13,-11,13,-5,1", "1,1,3,1,3,1,1")
+# degree-12 wedge-square factors whose lt1 and gt1 classes each hold two
+# conjugate pairs of one modulus: the order of the pairs is an exact tie
+TIED_FACTORS = ("1,0,-3,-2,3,-6,-17,-6,3,-2,-3,0,1", "1,0,-5,0,7,-6,-17,-6,7,0,-5,0,1")
 
 
 def _public(rs):
@@ -252,7 +255,7 @@ def test_float_seeds_and_circle_start_agree(monkeypatch):
     # the order of equal-modulus roots must not depend on where the
     # approximations came from
     polys = [p for _t, p, _c in enumerate_special(1)]
-    polys += [IntPoly.parse(t) for t in TABLE_FACTORS + WORKED]
+    polys += [IntPoly.parse(t) for t in TABLE_FACTORS + WORKED + TIED_FACTORS]
     seeded = []
     for p in polys:
         assert certroots._float_seed(p) is not None
