@@ -1,16 +1,20 @@
 """Certified complex root isolation.
 
-Approximations come from simultaneous (Aberth) sweeps: in hardware floats
-for the first disks, in mpmath at doubling precision when those do not
-certify or finer disks are asked for.  Every guarantee is then restored
-exactly: Weierstrass correction terms are evaluated in exact dyadic
-integer arithmetic and yield disks that provably contain the roots (a
-connected union of k such disks holds exactly k roots, so pairwise
+Approximations start from simultaneous (Aberth) sweeps in hardware floats,
+which are certified as they are.  Finer disks come from Newton steps on
+each root in fixed point: integer pairs over 2^(prec + 16), with prec
+doubling when the disks do not certify or are too coarse.  When the float
+seeds fail, or Newton meets a zero derivative, does not converge or sends
+two roots to one point, the same Aberth sweeps run on those integers,
+from a circle start of rational points if need be.  Every guarantee is
+restored exactly: Weierstrass correction terms are evaluated in exact
+dyadic integer arithmetic and yield disks that provably contain the roots
+(a connected union of k such disks holds exactly k roots, so pairwise
 disjoint disks isolate).  All downstream decisions, conjugate pairing,
-reciprocal pairing, modulus classes, matching derived values to resolvent
-factors, are made with midpoint-radius dyadic balls: integer mantissas
-over a shared power-of-two exponent, compared exactly, with the only
-inexact operation (inversion) rounded outward.  Floats never decide
+reciprocal pairing, modulus classes and ties, matching derived values to
+resolvent factors, are made with midpoint-radius dyadic balls: integer
+mantissas over a shared power-of-two exponent, compared exactly, with the
+only inexact operation (inversion) rounded outward.  Floats never decide
 anything.
 """
 
@@ -23,7 +27,6 @@ from collections import Counter
 from functools import cmp_to_key
 from fractions import Fraction
 
-import mpmath
 
 from .exceptions import (
     Ambiguous,
@@ -335,17 +338,11 @@ def evaluate_poly_on_ball(p: IntPoly, b: ComplexBall) -> ComplexBall:
 # isolation engine
 
 
-def _scaled(x, shift: int) -> int:
+def _scaled(x: float, shift: int) -> int:
     """x * 2^shift rounded to the nearest integer, halves to even, for a
-    Python float or an mpmath mpf x."""
-    if isinstance(x, float):
-        n, d = x.as_integer_ratio()
-        k = d.bit_length() - 1 - shift
-    else:
-        if not mpmath.isfinite(x):
-            raise ArithmeticError("non-finite value in root iteration")
-        sign, man, exp, _ = x._mpf_
-        n, k = (-man if sign else man), -exp - shift
+    finite Python float x."""
+    n, d = x.as_integer_ratio()
+    k = d.bit_length() - 1 - shift
     if k <= 0:
         return n << -k
     q = n >> k
@@ -354,17 +351,85 @@ def _scaled(x, shift: int) -> int:
     return q + (r > half or (r == half and q & 1))
 
 
-def _aberth(p, dp, zs, tol, nudge):
-    """Aberth sweeps in the arithmetic of p, dp and zs: Python complex, or
-    mpmath mpc under a working precision.  p and dp are the coefficients of
-    the polynomial and of its derivative, highest degree first.
+class _Fixed:
+    """The complex number (re + i im) 2^-s with integer re and im, the
+    arithmetic of the fixed-point Aberth sweeps.  Ints mix in exactly;
+    products and quotients are truncated to the 2^-s grid."""
 
-    A sweep converges once every correction is below tol * max(1, |z|).
-    A zero derivative or two coincident approximations move the point by
-    nudge * (1 + |z|) when nudge is set.  Returns (zs, converged).
+    __slots__ = ("re", "im", "s")
+
+    def __init__(self, re: int, im: int, s: int):
+        self.re, self.im, self.s = re, im, s
+
+    def _lift(self, x) -> "_Fixed":
+        return x if isinstance(x, _Fixed) else _Fixed(x << self.s, 0, self.s)
+
+    def __add__(self, other):
+        other = self._lift(other)
+        return _Fixed(self.re + other.re, self.im + other.im, self.s)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._lift(other)
+        return _Fixed(self.re - other.re, self.im - other.im, self.s)
+
+    def __rsub__(self, other):
+        return self._lift(other) - self
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _Fixed(self.re * other, self.im * other, self.s)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _Fixed((a * c - b * d) >> self.s, (a * d + b * c) >> self.s, self.s)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._lift(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        den = c * c + d * d
+        nr, ni = a * c + b * d, b * c - a * d
+        # the quotients have about q = bits(n) + s - bits(den) bits; den
+        # keeps max(q, 0) + 64 of its bits, and n loses as many as den
+        q = max(abs(nr), abs(ni)).bit_length() + self.s - den.bit_length()
+        k = den.bit_length() - 64 - max(q, 0)
+        if k <= 0:
+            return _Fixed((nr << self.s) // den, (ni << self.s) // den, self.s)
+        den >>= k
+        g = self.s - k
+        if g >= 0:
+            return _Fixed((nr << g) // den, (ni << g) // den, self.s)
+        return _Fixed((nr >> -g) // den, (ni >> -g) // den, self.s)
+
+    def __rtruediv__(self, other):
+        return self._lift(other) / self
+
+    def __eq__(self, other):
+        other = self._lift(other)
+        return self.re == other.re and self.im == other.im
+
+    __hash__ = None
+
+
+def _small(cr: int, ci: int, zr: int, zi: int, s: int, tol: int) -> bool:
+    """|c| < 2^-tol max(1, |z|) for c and z in fixed point over 2^s."""
+    return (cr * cr + ci * ci) << (2 * tol) < max(1 << (2 * s), zr * zr + zi * zi)
+
+
+def _aberth(p, dp, zs, small, nudge, sweeps):
+    """Aberth sweeps in the arithmetic of zs and of the coefficients:
+    Python complex and float, or _Fixed.  p and dp are the
+    coefficients of the polynomial and of its derivative, highest degree
+    first.
+
+    A sweep converges once small(correction, z) holds for every root.  A
+    zero derivative or two coincident approximations move the point to
+    nudge(z) when nudge is given.  Returns (zs, converged) after at most
+    the given number of sweeps.
     """
     n = len(zs)
-    for _ in range(140):
+    for _ in range(sweeps):
         converged = True
         new = list(zs)
         for i in range(n):
@@ -376,9 +441,9 @@ def _aberth(p, dp, zs, tol, nudge):
             for c in dp[1:]:
                 dv = dv * z + c
             if dv == 0:
-                if not nudge:
+                if nudge is None:
                     return zs, False
-                new[i] = z + nudge * (1 + abs(z)) * (1 + 1j)
+                new[i] = nudge(z)
                 converged = False
                 continue
             w = pv / dv
@@ -387,14 +452,14 @@ def _aberth(p, dp, zs, tol, nudge):
                 if j != i:
                     d = z - zs[j]
                     if d == 0:
-                        if not nudge:
+                        if nudge is None:
                             return zs, False
-                        d = nudge * (1 + abs(z))
+                        d = nudge(z) - z
                     s += 1 / d
             denom = 1 - w * s
             corr = w if denom == 0 else w / denom
             new[i] = z - corr
-            if not abs(corr) < tol * max(1, abs(z)):
+            if not small(corr, z):
                 converged = False
         zs = new
         if converged:
@@ -402,28 +467,90 @@ def _aberth(p, dp, zs, tol, nudge):
     return zs, False
 
 
-def _aberth_sweeps(coeffs_desc, zs, prec):
-    """Simultaneous-correction sweeps at the given binary precision."""
-    n = len(coeffs_desc) - 1
-    with mpmath.workprec(prec):
-        p = [mpmath.mpf(c) for c in coeffs_desc]
-        dp = [mpmath.mpf(c * (n - i)) for i, c in enumerate(coeffs_desc[:-1])]
-        nudge = mpmath.mpf(2) ** (-(prec - 8))
-        zs, _ = _aberth(p, dp, [mpmath.mpc(z) for z in zs], 4 * nudge, nudge)
-        return zs
+def _fixed_coeffs(desc, ddesc, s):
+    """The coefficients of p and p', highest degree first, over 2^s after
+    both are divided by the power of two at or below |lc p|: the quotient
+    p/p' is unchanged, and the numbers in an iteration keep the size of
+    the roots, not of the leading coefficient."""
+    e = abs(desc[0]).bit_length() - 1
+    return [(c << s) >> e for c in desc], [(c << s) >> e for c in ddesc]
+
+
+def _fixed_aberth(desc, ddesc, pts, prec, sweeps):
+    """At most the given number of Aberth sweeps on fixed-point integers
+    over 2^(prec + 16), from the pairs pts, converging on corrections below
+    2^-(prec - 10) max(1, |z|); a zero derivative or coincident points
+    move by about 2^-(prec - 8) (1 + |z|)."""
+    s = prec + 16
+    cs, ds = ([_Fixed(c, 0, s) for c in f] for f in _fixed_coeffs(desc, ddesc, s))
+
+    def small(c, z):
+        return _small(c.re, c.im, z.re, z.im, s, prec - 10)
+
+    def nudge(z):
+        e = max(1, ((1 << s) + math.isqrt(z.re * z.re + z.im * z.im)) >> (prec - 8))
+        return _Fixed(z.re + e, z.im + e, s)
+
+    zs, _ = _aberth(cs, ds, [_Fixed(a, b, s) for a, b in pts], small, nudge, sweeps)
+    return [(z.re, z.im) for z in zs]
+
+
+# Newton steps allowed per root and refinement before the Aberth fallback
+_NEWTON_STEPS = 8
+# Aberth sweeps from a circle start, and from approximations that Newton
+# could not refine or that did not certify
+_START_SWEEPS = 140
+_RESWEEPS = 8
+
+
+def _newton(desc, ddesc, pts, prec):
+    """Newton steps z <- z - p(z)/p'(z) on each fixed-point pair over
+    2^(prec + 16), until the correction is below 2^-(prec - 10)
+    max(1, |z|).  None when a derivative vanishes, a root does not
+    converge within _NEWTON_STEPS steps, or two roots land on one point."""
+    s = prec + 16
+    cs, ds = _fixed_coeffs(desc, ddesc, s)
+    out = []
+    for a, b in pts:
+        for _ in range(_NEWTON_STEPS):
+            pr, pi = cs[0], 0
+            for c in cs[1:]:
+                pr, pi = ((pr * a - pi * b) >> s) + c, (pr * b + pi * a) >> s
+            dr, di = ds[0], 0
+            for c in ds[1:]:
+                dr, di = ((dr * a - di * b) >> s) + c, (dr * b + di * a) >> s
+            den = dr * dr + di * di
+            if den == 0:
+                return None
+            wr = ((pr * dr + pi * di) << s) // den
+            wi = ((pi * dr - pr * di) << s) // den
+            done = _small(wr, wi, a, b, s, prec - 10)
+            a, b = a - wr, b - wi
+            if done:
+                break
+        else:
+            return None
+        out.append((a, b))
+    if len(set(out)) != len(out):
+        return None
+    return out
 
 
 def _float_seed(p: IntPoly):
     """Approximate roots from Aberth sweeps in hardware floats, started
-    from the circle of _initial_points; None on overflow, a non-finite
-    value, a zero derivative, coincident approximations or no convergence."""
+    from a circle of radius 0.7 cauchy_bound(p); None on overflow, a
+    non-finite value, a zero derivative, coincident approximations or no
+    convergence."""
     n = p.degree
     desc = [p.coeffs[-1 - i] for i in range(n + 1)]
     try:
         fp = [float(c) for c in desc]
         fdp = [float(c * (n - i)) for i, c in enumerate(desc[:-1])]
-        start = [complex(z) for z in _initial_points(p, 53)]
-        zs, converged = _aberth(fp, fdp, start, 1e-13, None)
+        r = 0.7 * float(cauchy_bound(p))
+        start = [r * cmath.exp(2j * cmath.pi * (k + 0.354) / n) for k in range(n)]
+        zs, converged = _aberth(
+            fp, fdp, start, lambda c, z: abs(c) < 1e-13 * max(1, abs(z)), None, _START_SWEEPS
+        )
     except OverflowError:
         return None
     if not converged or not all(cmath.isfinite(z) for z in zs):
@@ -431,19 +558,25 @@ def _float_seed(p: IntPoly):
     return zs
 
 
-def _initial_points(p: IntPoly, prec):
-    n = p.degree
-    b = cauchy_bound(p)
-    with mpmath.workprec(prec):
-        r = mpmath.mpf(b.numerator) / b.denominator
-        return [
-            0.7 * r * mpmath.exp(mpmath.mpc(0, 2) * mpmath.pi * (k + 0.354) / n)
-            for k in range(n)
-        ]
+def _circle_start(p: IntPoly, s: int):
+    """n start points of modulus 0.7 cauchy_bound(p), as fixed-point pairs
+    over 2^s: the odd powers u^(2k+1) of u = (3 + 4i)/5, whose argument is
+    no rational multiple of pi, so no two points coincide and none is
+    real."""
+    r = Fraction(7, 10) * cauchy_bound(p)
+    num, den = r.numerator << s, r.denominator
+    pts = []
+    x, y = 3, 4  # (3 + 4i)^(2k+1) = x + iy over 5^(2k+1)
+    for k in range(p.degree):
+        d = den * 5 ** (2 * k + 1)
+        pts.append((x * num // d, y * num // d))
+        x, y = (x * -7 - y * 24, x * 24 + y * -7)  # times (3 + 4i)^2 = -7 + 24i
+    return pts
 
 
-def _certified_balls(p: IntPoly, zs, prec):
-    """Exact Weierstrass disks around the approximations.
+def _certified_balls(p: IntPoly, pts, prec):
+    """Exact Weierstrass disks around the approximations, integer pairs
+    over 2^(prec + 16).
 
     Root i lies within n*|p(z_i) / (lc * prod_{j!=i}(z_i - z_j))| of z_i,
     and pairwise disjoint disks each hold exactly one root.  Returns the
@@ -453,7 +586,6 @@ def _certified_balls(p: IntPoly, zs, prec):
     lc = p.lc
     # centers are integers over 2^shift, radii are rounded up to 2^-(prec+8)
     shift = prec + 16
-    pts = [(_scaled(z.real, shift), _scaled(z.imag, shift)) for z in zs]
     if len(set(pts)) != n:
         return None
     coeffs = p.coeffs
@@ -491,20 +623,40 @@ def _certified_balls(p: IntPoly, zs, prec):
 class _Isolation:
     """Adaptive-precision isolation state for one squarefree polynomial.
 
-    Ball order is fixed forever by the first successful certification;
-    later refinements are matched back onto it, so an index names one true
-    root for the lifetime of the state.
+    Approximations are integer pairs over 2^(prec + 16).  Each refinement
+    runs Newton from the current ones; Aberth sweeps on the same integers
+    take over when the float seeds failed, when Newton fails, or when its
+    approximations did not certify.  Ball order is fixed forever by the
+    first successful certification; later refinements are matched back
+    onto it, so an index names one true root for the lifetime of the
+    state.
     """
 
     def __init__(self, p: IntPoly):
         self.p = p
         self.prec = 128
         seed = _float_seed(p)
-        # float seeds are certified as they are before any sweep
+        shift = self.prec + 16
+        if seed is None:
+            self.zs = _circle_start(p, shift)
+        else:
+            self.zs = [(_scaled(z.real, shift), _scaled(z.imag, shift)) for z in seed]
+        # float seeds are certified as they are before any refinement
         self._sweep = seed is None
-        self.zs = _initial_points(p, self.prec) if seed is None else seed
+        # Aberth sweeps the next refinement runs; 0 runs Newton
+        self._aberth = _START_SWEEPS if seed is None else 0
         self.balls = None
-        self._desc = tuple(p.coeffs[-1 - i] for i in range(p.degree + 1))
+        n = p.degree
+        self._desc = tuple(p.coeffs[-1 - i] for i in range(n + 1))
+        self._ddesc = tuple(c * (n - i) for i, c in enumerate(self._desc[:-1]))
+
+    def _refine(self):
+        zs = None if self._aberth else _newton(self._desc, self._ddesc, self.zs, self.prec)
+        if zs is None:
+            sweeps = self._aberth or _RESWEEPS
+            zs = _fixed_aberth(self._desc, self._ddesc, self.zs, self.prec, sweeps)
+        self._aberth = 0
+        self.zs = zs
 
     def ensure(self, eps: Fraction):
         eps = Fraction(eps)
@@ -512,7 +664,7 @@ class _Isolation:
             if self.balls is not None and all(b.rad <= eps for b in self.balls):
                 return self.balls
             if self._sweep:
-                self.zs = _aberth_sweeps(self._desc, self.zs, self.prec)
+                self._refine()
             cand = _certified_balls(self.p, self.zs, self.prec)
             if cand is not None and all(b.rad <= eps for b in cand):
                 if self.balls is not None:
@@ -528,14 +680,20 @@ class _Isolation:
                 self._sweep = True
                 return self.balls
             if not self._sweep:
-                # the seeds did not certify: sweep before doubling
+                # the seeds did not certify: refine before doubling
                 self._sweep = True
                 continue
-            self.prec *= 2
-            if self.prec > _MAX_PREC:
+            # approximations that do not certify go to Aberth sweeps
+            self._aberth = _RESWEEPS if cand is None else 0
+            if self.prec >= _MAX_PREC:
+                p = self.p
+                height = max(abs(c) for c in p.coeffs).bit_length()
                 raise PrecisionExhausted(
-                    f"isolation beyond {_MAX_PREC} bits for {self.p}"
+                    f"isolation undecided at {self.prec} bits, the cap, for a degree-{p.degree}"
+                    f" polynomial with coefficients of up to {height} bits"
                 )
+            self.zs = [(a << self.prec, b << self.prec) for a, b in self.zs]
+            self.prec *= 2
 
     def shrink(self):
         """Refine all disks by a fixed factor."""
