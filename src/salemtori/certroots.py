@@ -497,8 +497,8 @@ def _fixed_aberth(desc, ddesc, pts, prec, sweeps):
 
 # Newton steps allowed per root and refinement before the Aberth fallback
 _NEWTON_STEPS = 8
-# Aberth sweeps from a circle start, and from approximations that Newton
-# could not refine or that did not certify
+# Aberth sweeps from the circle start, and from approximations that did
+# not certify
 _START_SWEEPS = 140
 _RESWEEPS = 8
 
@@ -624,9 +624,10 @@ class _Isolation:
     """Adaptive-precision isolation state for one squarefree polynomial.
 
     Approximations are integer pairs over 2^(prec + 16).  Each refinement
-    runs Newton from the current ones; Aberth sweeps on the same integers
-    take over when the float seeds failed, when Newton fails, or when its
-    approximations did not certify.  Ball order is fixed forever by the
+    runs Newton from the current ones.  Aberth sweeps on the same integers
+    run from the circle start when the float seeds or Newton fail, and
+    from the current approximations, briefly, when these did not
+    certify at the last precision.  Ball order is fixed forever by the
     first successful certification; later refinements are matched back
     onto it, so an index names one true root for the lifetime of the
     state.
@@ -651,10 +652,14 @@ class _Isolation:
         self._ddesc = tuple(c * (n - i) for i, c in enumerate(self._desc[:-1]))
 
     def _refine(self):
-        zs = None if self._aberth else _newton(self._desc, self._ddesc, self.zs, self.prec)
-        if zs is None:
-            sweeps = self._aberth or _RESWEEPS
-            zs = _fixed_aberth(self._desc, self._ddesc, self.zs, self.prec, sweeps)
+        desc, ddesc, prec = self._desc, self._ddesc, self.prec
+        if self._aberth:
+            zs = _fixed_aberth(desc, ddesc, self.zs, prec, self._aberth)
+        else:
+            zs = _newton(desc, ddesc, self.zs, prec)
+            if zs is None:
+                start = _circle_start(self.p, prec + 16)
+                zs = _fixed_aberth(desc, ddesc, start, prec, _START_SWEEPS)
         self._aberth = 0
         self.zs = zs
 
@@ -851,11 +856,10 @@ def _same_root(s: IntPoly, intervals, refine, stage: str) -> bool:
         lo, hi = min(a, c), max(b, d)
         if lo == hi:
             return True
-        # widen the hull onto a grid about 2^-8 of its width
+        # widen the hull onto a grid of about 2^-8 of its width
         w = hi - lo
-        g = w.denominator.bit_length() - w.numerator.bit_length() + 8
-        lo = Fraction((lo.numerator << g) // lo.denominator, 1 << g)
-        hi = Fraction(-((-hi.numerator << g) // hi.denominator), 1 << g)
+        unit = _frac(1, w.numerator.bit_length() - w.denominator.bit_length() - 8)
+        lo, hi = unit * math.floor(lo / unit), unit * math.ceil(hi / unit)
         ends = [_hvalue(s.coeffs, x.numerator, x.denominator) for x in (lo, hi)]
         if ends[0] * ends[1] >= 0:
             return None
@@ -907,7 +911,7 @@ class RootSystem:
         eps / 16; a request no finer than the current eps changes nothing.
 
         Refining at eps/2 or smaller yields disks contained in the current
-        ones whenever both levels use grid-snapped presentation.
+        ones.
         """
         eps = self.eps / 16 if eps is None else Fraction(eps)
         if eps < self.eps:
@@ -937,27 +941,31 @@ def _eps_level(eps: Fraction) -> int:
 
 
 def _presentation(state: _Isolation, order, eps: Fraction):
-    """Public disks: centers snapped to the 2^-(m+3) grid with radius
-    2^-m when separation allows, so halving eps shrinks each disk inside
-    its predecessor; raw certified disks otherwise."""
+    """Public disks: radius 2^-m with centers snapped to the 2^-(m+3)
+    grid, m the level of eps or, for roots too close to be told apart
+    there, the first finer level at which the snapped disks are disjoint.
+    The disks then do not depend on how the approximations were found,
+    and halving eps shrinks each disk inside its predecessor."""
     m = _eps_level(eps)
-    balls = state.ensure(min(eps, Fraction(1, 1 << (m + 5))))
-    grid = m + 3
-    n = len(balls)
-    snapped = []
-    for b in balls:
-        re = _round_half_up(b._re, b._exp, grid)
-        im = _round_half_up(b._im, b._exp, grid)
-        snapped.append(_ball(re, im, 8, -grid))  # radius 2^-m
-    good = all(snapped[i].contains_ball(balls[i]) for i in range(n))
-    if good:
-        good = all(
-            snapped[i].is_disjoint(snapped[j])
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
-    chosen = snapped if good else balls
-    return tuple(chosen[o] for o in order)
+    while True:
+        balls = state.ensure(Fraction(1, 1 << (m + 5)))
+        grid = m + 3
+        n = len(balls)
+        snapped = []
+        for b in balls:
+            re = _round_half_up(b._re, b._exp, grid)
+            im = _round_half_up(b._im, b._exp, grid)
+            snapped.append(_ball(re, im, 8, -grid))  # radius 2^-m
+        good = all(snapped[i].contains_ball(balls[i]) for i in range(n))
+        if good:
+            good = all(
+                snapped[i].is_disjoint(snapped[j])
+                for i in range(n)
+                for j in range(i + 1, n)
+            )
+        if good:
+            return tuple(snapped[o] for o in order)
+        m = _checked_level(m + 1)
 
 
 def isolate_roots(p: IntPoly, eps) -> RootSystem:

@@ -302,6 +302,20 @@ def test_mignotte_cluster_certifies(n, a):
     assert all(rs.conj[i] == i for i in near)
 
 
+def test_precision_cap_names_stage_bits_and_size():
+    # x (2^70000 x - 1): two roots 2^-70000 apart, beyond the 65536-bit cap;
+    # the message must not print the coefficients
+    p = IntPoly((0, -1, 1 << 70000))
+    start = time.perf_counter()
+    with pytest.raises(PrecisionExhausted) as err:
+        isolate_roots(p, Fraction(1, 1 << 24))
+    assert time.perf_counter() - start < 10
+    msg = str(err.value)
+    assert msg.startswith("isolation ")
+    assert "65536 bits" in msg and "degree-2" in msg and "70001 bits" in msg
+    assert len(msg) < 200
+
+
 def test_refine_until_names_stage_and_rounds():
     refines = []
     assert refine_until(lambda: 0, lambda: refines.append(1), "a falsy decision") == 0

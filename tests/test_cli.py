@@ -7,8 +7,14 @@ be deterministic, and exit codes must follow the documented mapping
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import salemtori
 
 from salemtori import (
     IntPoly,
@@ -266,3 +272,36 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
+
+
+NO_MPMATH = """
+import contextlib, io, sys
+from argparse import Namespace
+from salemtori import certroots, cli
+from salemtori.exactlin import companion
+from salemtori.intpoly import IntPoly
+from salemtori.salem import SexticAnalysis, dynamical_degrees, enumerate_special
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify-examples"]) == 0
+trace, p, cls = next(iter(enumerate_special(1)))
+row, failed = cli._sweep_row(trace, SexticAnalysis(p, cls), Namespace(c_max=100, precision_bits=128))
+assert row["ok"] and not failed
+# no float holds 10^400, so this spectrum is isolated by the fixed-point sweeps
+fallbacks = []
+sweep = certroots._fixed_aberth
+certroots._fixed_aberth = lambda *args: fallbacks.append(1) or sweep(*args)
+block = companion(IntPoly((1, -(10**400), 1))).direct_sum(companion(IntPoly.parse("1,-3,1")))
+dynamical_degrees(block, 2)
+assert fallbacks
+assert "mpmath" not in sys.modules
+"""
+
+
+def test_library_never_imports_mpmath():
+    src = str(Path(salemtori.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", NO_MPMATH], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
