@@ -27,7 +27,6 @@ from collections import Counter
 from functools import cmp_to_key
 from fractions import Fraction
 
-
 from .exceptions import (
     Ambiguous,
     InputError,
@@ -43,7 +42,6 @@ from .intpoly import (
     gcd as poly_gcd,
     is_squarefree,
     square_value_poly,
-    squarefree_part,
 )
 
 _MAX_PREC = 1 << 16
@@ -620,6 +618,14 @@ def _certified_balls(p: IntPoly, pts, prec):
     return balls
 
 
+def _radii_within(balls, eps: Fraction) -> bool:
+    """Whether every disk has radius at most eps, compared on integers."""
+    n, d = eps.numerator, eps.denominator
+    return all(
+        (b._rad << max(b._exp, 0)) * d <= n << max(-b._exp, 0) for b in balls
+    )
+
+
 class _Isolation:
     """Adaptive-precision isolation state for one squarefree polynomial.
 
@@ -666,12 +672,12 @@ class _Isolation:
     def ensure(self, eps: Fraction):
         eps = Fraction(eps)
         while True:
-            if self.balls is not None and all(b.rad <= eps for b in self.balls):
+            if self.balls is not None and _radii_within(self.balls, eps):
                 return self.balls
             if self._sweep:
                 self._refine()
             cand = _certified_balls(self.p, self.zs, self.prec)
-            if cand is not None and all(b.rad <= eps for b in cand):
+            if cand is not None and _radii_within(cand, eps):
                 if self.balls is not None:
                     matched = _try_match(self.balls, cand)
                     if matched is None:
@@ -825,11 +831,13 @@ def _modsq_resolvent(p: IntPoly, real: bool) -> IntPoly:
 
 def _modsq_radical(parts) -> IntPoly:
     """The squarefree part of the product of the _modsq_resolvent of each
-    (polynomial, real) part."""
+    (polynomial, real) part, up to a constant factor.  Each modulus
+    square of a tie is a repeated root of that product, so no mod-p
+    squarefree witness is tried."""
     r = IntPoly.constant(1)
     for p, real in parts:
         r = r * _modsq_resolvent(p, real)
-    return squarefree_part(r)
+    return r.div_exact(poly_gcd(r, r.derivative()))
 
 
 def _modsq_interval(b: ComplexBall, scale=1):
@@ -865,7 +873,8 @@ def _same_root(s: IntPoly, intervals, refine, stage: str) -> bool:
             return None
         m, h = (lo + hi) / 2, (hi - lo) / 2
         # |s'(m)| den^deg s' against h * (an integer bound on |s''| for |x| <= r)
-        r = -(-max(-lo, hi).numerator // max(-lo, hi).denominator) or 1
+        x = max(-lo, hi)
+        r = max(1, -(-x.numerator // x.denominator))
         bound = sum(c * r**k for k, c in enumerate(d2))
         slope = _hvalue(ds.coeffs, m.numerator, m.denominator)
         if abs(slope) * h.denominator > h.numerator * bound * m.denominator ** ds.degree:
@@ -1066,11 +1075,11 @@ def _root_comparison(p, state, conj, classes):
 
     Two roots of one pair share modulus and real part, and a pair's disks
     lie off the real axis, so their centers' imaginary signs are
-    certified.  Distinct pairs and real roots are compared on disks
-    refined on a 2^-(24 + 4k) schedule; moduli still overlapping after six
-    rounds may be equal, and are then decided in the resolvent whose roots
-    include lc^2 |z|^2.  Equal moduli go by the real part, which differs
-    for distinct roots that are not conjugate."""
+    certified.  Distinct pairs and real roots are compared on disks of
+    radius at most 2^-(24 + k) in round k; moduli still overlapping after
+    six rounds may be equal, and are then decided in the resolvent whose
+    roots include lc^2 |z|^2.  Equal moduli go by the real part, which
+    differs for distinct roots that are not conjugate."""
     level = 24
     decided = {}
     radicals = {}
@@ -1078,7 +1087,7 @@ def _root_comparison(p, state, conj, classes):
 
     def refine():
         nonlocal level
-        level += 4
+        level += 1
         state.ensure(Fraction(1, 1 << level))
 
     def modulus(i):
