@@ -352,7 +352,8 @@ def _scaled(x: float, shift: int) -> int:
 class _Fixed:
     """The complex number (re + i im) 2^-s with integer re and im, the
     arithmetic of the fixed-point Aberth sweeps.  Ints mix in exactly;
-    products and quotients are truncated to the 2^-s grid."""
+    products, quotients and abs are truncated to the 2^-s grid, and < and
+    > compare real parts, as the sweeps compare moduli and tolerances."""
 
     __slots__ = ("re", "im", "s")
 
@@ -403,6 +404,15 @@ class _Fixed:
     def __rtruediv__(self, other):
         return self._lift(other) / self
 
+    def __abs__(self):
+        return _Fixed(math.isqrt(self.re * self.re + self.im * self.im), 0, self.s)
+
+    def __lt__(self, other):
+        return self.re < self._lift(other).re
+
+    def __gt__(self, other):
+        return self.re > self._lift(other).re
+
     def __eq__(self, other):
         other = self._lift(other)
         return self.re == other.re and self.im == other.im
@@ -410,19 +420,13 @@ class _Fixed:
     __hash__ = None
 
 
-def _small(cr: int, ci: int, zr: int, zi: int, s: int, tol: int) -> bool:
-    """|c| < 2^-tol max(1, |z|) for c and z in fixed point over 2^s."""
-    return (cr * cr + ci * ci) << (2 * tol) < max(1 << (2 * s), zr * zr + zi * zi)
+def _aberth(p, dp, zs, tol, nudge, sweeps):
+    """Aberth sweeps in the arithmetic of zs, tol and the coefficients:
+    Python complex and float, or _Fixed.  p and dp are the coefficients
+    of the polynomial and of its derivative, highest degree first.
 
-
-def _aberth(p, dp, zs, small, nudge, sweeps):
-    """Aberth sweeps in the arithmetic of zs and of the coefficients:
-    Python complex and float, or _Fixed.  p and dp are the
-    coefficients of the polynomial and of its derivative, highest degree
-    first.
-
-    A sweep converges once small(correction, z) holds for every root.  A
-    zero derivative or two coincident approximations move the point to
+    A sweep converges once every correction is below tol * max(1, |z|).
+    A zero derivative or two coincident approximations move the point to
     nudge(z) when nudge is given.  Returns (zs, converged) after at most
     the given number of sweeps.
     """
@@ -457,7 +461,7 @@ def _aberth(p, dp, zs, small, nudge, sweeps):
             denom = 1 - w * s
             corr = w if denom == 0 else w / denom
             new[i] = z - corr
-            if not small(corr, z):
+            if not abs(corr) < tol * max(1, abs(z)):
                 converged = False
         zs = new
         if converged:
@@ -481,15 +485,13 @@ def _fixed_aberth(desc, ddesc, pts, prec, sweeps):
     move by about 2^-(prec - 8) (1 + |z|)."""
     s = prec + 16
     cs, ds = ([_Fixed(c, 0, s) for c in f] for f in _fixed_coeffs(desc, ddesc, s))
-
-    def small(c, z):
-        return _small(c.re, c.im, z.re, z.im, s, prec - 10)
+    tol = _Fixed(1 << (s - prec + 10), 0, s)
 
     def nudge(z):
         e = max(1, ((1 << s) + math.isqrt(z.re * z.re + z.im * z.im)) >> (prec - 8))
         return _Fixed(z.re + e, z.im + e, s)
 
-    zs, _ = _aberth(cs, ds, [_Fixed(a, b, s) for a, b in pts], small, nudge, sweeps)
+    zs, _ = _aberth(cs, ds, [_Fixed(a, b, s) for a, b in pts], tol, nudge, sweeps)
     return [(z.re, z.im) for z in zs]
 
 
@@ -522,7 +524,8 @@ def _newton(desc, ddesc, pts, prec):
                 return None
             wr = ((pr * dr + pi * di) << s) // den
             wi = ((pi * dr - pr * di) << s) // den
-            done = _small(wr, wi, a, b, s, prec - 10)
+            # |w| < 2^-(prec - 10) max(1, |z|), squared
+            done = (wr * wr + wi * wi) << (2 * prec - 20) < max(1 << (2 * s), a * a + b * b)
             a, b = a - wr, b - wi
             if done:
                 break
@@ -546,9 +549,7 @@ def _float_seed(p: IntPoly):
         fdp = [float(c * (n - i)) for i, c in enumerate(desc[:-1])]
         r = 0.7 * float(cauchy_bound(p))
         start = [r * cmath.exp(2j * cmath.pi * (k + 0.354) / n) for k in range(n)]
-        zs, converged = _aberth(
-            fp, fdp, start, lambda c, z: abs(c) < 1e-13 * max(1, abs(z)), None, _START_SWEEPS
-        )
+        zs, converged = _aberth(fp, fdp, start, 1e-13, None, _START_SWEEPS)
     except OverflowError:
         return None
     if not converged or not all(cmath.isfinite(z) for z in zs):
