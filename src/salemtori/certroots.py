@@ -382,8 +382,6 @@ class _Fixed:
         a, b, c, d = self.re, self.im, other.re, other.im
         return _Fixed((a * c - b * d) >> self.s, (a * d + b * c) >> self.s, self.s)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         other = self._lift(other)
         a, b, c, d = self.re, self.im, other.re, other.im
@@ -416,8 +414,6 @@ class _Fixed:
     def __eq__(self, other):
         other = self._lift(other)
         return self.re == other.re and self.im == other.im
-
-    __hash__ = None
 
 
 def _aberth(p, dp, zs, tol, nudge, sweeps):
