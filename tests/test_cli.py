@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 import salemtori
-
 from salemtori import (
     IntPoly,
     build_fibrations,
