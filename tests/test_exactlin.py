@@ -374,6 +374,34 @@ def test_restricted_matrix_block():
         restricted_matrix(a, IntMatrix.from_columns([(1, 0, 1, 0, 0, 0)]))
 
 
+def test_restricted_matrix_errors_name_the_failure():
+    a = companion(IntPoly.parse("1,-3,1")).direct_sum(companion(IntPoly.parse("1,1,1,1,1")))
+    with pytest.raises(ArithmeticError, match="column span is not stable"):
+        restricted_matrix(a, IntMatrix.from_columns([(1, 0, 1, 0, 0, 0)]))
+    # the span of (2,0), (0,1) is all of QQ^2, so it is stable, but
+    # A (0,1) = (1,1) = 1/2 (2,0) + (0,1) has a half-integral coordinate
+    shear = IntMatrix(((1, 1), (0, 1)))
+    with pytest.raises(ArithmeticError, match="restriction is not integral"):
+        restricted_matrix(shear, IntMatrix.from_columns([(2, 0), (0, 1)]))
+
+
+def test_solve_columns_exact_semantics():
+    b = IntMatrix.from_columns([(1, 0, 0), (0, 1, 0)])
+    assert solve_columns_exact(b, [(0, 0, 1)]) is None
+    # one inconsistent target makes the whole answer None
+    assert solve_columns_exact(b, [(1, 2, 0), (0, 0, 1)]) is None
+    sols = solve_columns_exact(IntMatrix(((2, 0), (0, 3))), [(1, 1), (4, -6)])
+    assert sols == [(Fraction(1, 2), Fraction(1, 3)), (Fraction(2), Fraction(-2))]
+    assert all(type(c) is Fraction for col in sols for c in col)
+    # dependent columns: free coordinates are zero
+    b = IntMatrix.from_columns([(1, 1), (2, 2), (0, 3)])
+    assert solve_columns_exact(b, [(3, 6)]) == [(Fraction(3), Fraction(0), Fraction(1))]
+    # pivots found below a zero entry; the answer is the unique solution
+    b = IntMatrix.from_columns([(0, 2, 4), (3, 1, 0)])
+    assert solve_columns_exact(b, [(3, 3, 4)]) == [(Fraction(1), Fraction(1))]
+    assert solve_columns_exact(b, [(3, 3, 5)]) is None
+
+
 def test_unimodular_completion():
     rng = random.Random(1616)
     done = 0
