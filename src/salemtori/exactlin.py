@@ -7,8 +7,10 @@ integer kernels, and lattice saturation.  All arithmetic is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .exceptions import InputError, NotMonic, ZeroLattice
 from .intpoly import IntPoly, gcd as poly_gcd
@@ -28,6 +30,14 @@ class IntMatrix:
         if any(not isinstance(c, int) for r in rows for c in r):
             raise InputError("integer entries required")
         object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _of(cls, rows: tuple) -> "IntMatrix":
+        """A matrix on rows already known to be a non-empty rectangular
+        tuple of integer tuples, without the checks of the constructor."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
 
     # ---- construction ----
 
@@ -89,18 +99,18 @@ class IntMatrix:
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(
+        return IntMatrix._of(
             tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(
+        return IntMatrix._of(
             tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
         )
 
     def __neg__(self):
-        return IntMatrix(tuple(tuple(-a for a in r) for r in self.rows))
+        return IntMatrix._of(tuple(tuple(-a for a in r) for r in self.rows))
 
     def _same_shape(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -108,22 +118,18 @@ class IntMatrix:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return IntMatrix(tuple(tuple(a * other for a in r) for r in self.rows))
+            return IntMatrix._of(tuple(tuple(a * other for a in r) for r in self.rows))
         if self.ncols != other.nrows:
             raise InputError("inner dimension mismatch")
-        bt = tuple(zip(*other.rows))
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in bt)
-                for row in self.rows
-            )
-        )
+        return IntMatrix._of(tuple(map(tuple, _times(self.rows, tuple(zip(*other.rows))))))
 
     __rmul__ = lambda self, other: self.__mul__(other)
 
     def __pow__(self, e: int):
         if not self.is_square():
             raise InputError("power of a non-square matrix")
+        if e < 0:
+            raise InputError(f"negative exponent {e}: integer matrices are not inverted")
         result = IntMatrix.identity(self.nrows)
         base = self
         while e:
@@ -140,7 +146,7 @@ class IntMatrix:
         return tuple(sum(a * x for a, x in zip(row, v)) for row in self.rows)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows)))
+        return IntMatrix._of(tuple(zip(*self.rows)))
 
     def trace(self) -> int:
         if not self.is_square():
@@ -152,14 +158,20 @@ class IntMatrix:
         for ra in self.rows:
             for rb in other.rows:
                 out.append(tuple(a * b for a in ra for b in rb))
-        return IntMatrix(tuple(out))
+        return IntMatrix._of(tuple(out))
 
     def direct_sum(self, other: "IntMatrix") -> "IntMatrix":
         n1, m1 = self.nrows, self.ncols
         n2, m2 = other.nrows, other.ncols
         out = [tuple(r) + (0,) * m2 for r in self.rows]
         out += [(0,) * m1 + tuple(r) for r in other.rows]
-        return IntMatrix(tuple(out))
+        return IntMatrix._of(tuple(out))
+
+
+def _times(rows, cols) -> list:
+    """The product of the matrix with the given rows and the matrix with
+    the given columns, as a list of row lists."""
+    return [[sum(map(mul, r, c)) for c in cols] for r in rows]
 
 
 def companion(p: IntPoly) -> IntMatrix:
@@ -179,14 +191,21 @@ def companion(p: IntPoly) -> IntMatrix:
 
 
 def matrix_poly_eval(p: IntPoly, a: IntMatrix) -> IntMatrix:
-    """p(A) by Horner."""
+    """p(A) by Horner, adding each coefficient to the diagonal."""
     if not a.is_square():
         raise InputError("square matrix required")
     n = a.nrows
-    acc = IntMatrix.zero(n, n)
-    for c in reversed(p.coeffs if p.coeffs else (0,)):
-        acc = acc * a + c * IntMatrix.identity(n)
-    return acc
+    if p.is_zero():
+        return IntMatrix.zero(n, n)
+    cols = tuple(zip(*a.rows))
+    acc = [[0] * n for _ in range(n)]
+    for i in range(n):
+        acc[i][i] = p.lc
+    for c in reversed(p.coeffs[:-1]):
+        acc = _times(acc, cols)
+        for i in range(n):
+            acc[i][i] += c
+    return IntMatrix._of(tuple(map(tuple, acc)))
 
 
 def det(a: IntMatrix) -> int:
@@ -215,22 +234,32 @@ def det(a: IntMatrix) -> int:
 
 
 def char_poly(a: IntMatrix) -> IntPoly:
-    """Exact characteristic polynomial via the Faddeev-LeVerrier recurrence."""
+    """Exact characteristic polynomial via the Faddeev-LeVerrier recurrence.
+
+    M_0 = I, c_k = -tr(A M_(k-1))/k and M_k = A M_(k-1) + c_k I.  Each M_k
+    is a polynomial in A, so A M_k = M_k A is formed against the columns
+    of A, and the last step needs only the trace."""
     if not a.is_square():
         raise InputError("square matrix required")
     n = a.nrows
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = IntMatrix.identity(n)
+    cols = tuple(zip(*a.rows))
+    coeffs = [0] * n + [1]
+    am = [list(r) for r in a.rows]  # A M_0
+    t = a.trace()
     for k in range(1, n + 1):
-        am = a * m
-        t = am.trace()
         if t % k:
             raise ArithmeticError("non-integer trace step in characteristic polynomial")
         c = -(t // k)
         coeffs[n - k] = c
-        if k < n:
-            m = am + c * IntMatrix.identity(n)
+        if k == n:
+            break
+        for i in range(n):
+            am[i][i] += c  # M_k
+        if k + 1 < n:
+            am = _times(am, cols)
+            t = sum(am[i][i] for i in range(n))
+        else:
+            t = sum(sum(map(mul, r, col)) for r, col in zip(am, cols))
     return IntPoly(tuple(coeffs))
 
 
@@ -238,19 +267,43 @@ def char_poly(a: IntMatrix) -> IntPoly:
 # minimal polynomial (Krylov, exact)
 
 
-def _frac_rref_insert(basis, v):
-    """Reduce v against the row basis (list of (pivot, row)); return the
-    reduced vector, or None if v reduces to zero."""
-    v = list(v)
-    for pivot, row in basis:
-        if v[pivot] != 0:
-            c = v[pivot]
-            v = [x - c * y for x, y in zip(v, row)]
-    for i, x in enumerate(v):
-        if x != 0:
-            inv = Fraction(1) / x
-            return i, [y * inv for y in v]
-    return None
+def _local_minimal_polynomial(rows, start: int) -> tuple:
+    """Ascending coefficients of the monic minimal polynomial of A (given
+    by its rows) on the unit vector e_start.
+
+    The chain v_k = A^k e_start is reduced by cross-multiplication against
+    the pivot rows of the earlier chain vectors.  Each reduced vector keeps
+    its integer combination of v_0..v_k, and both are divided by their
+    common content.  When v_k reduces to zero, its combination is an
+    integer multiple of the local minimal polynomial (Bareiss, Math. Comp.
+    22, 1968; Cohen, GTM 138, ch. 2).
+    """
+    n = len(rows)
+    basis = []  # (pivot, reduced vector, combination of the chain vectors)
+    v = [0] * n
+    v[start] = 1
+    k = 0
+    while True:
+        w = v
+        comb = [0] * k + [1]
+        for piv, b, bc in basis:
+            c = w[piv]
+            if c:
+                d = b[piv]
+                w = [d * x - c * y for x, y in zip(w, b)]
+                comb = [d * x - c * y for x, y in zip(comb, bc)] + [d * x for x in comb[len(bc):]]
+        if not any(w):
+            lead = comb[-1]
+            if any(x % lead for x in comb):
+                raise ArithmeticError("non-integer minimal polynomial coefficients")
+            return tuple(x // lead for x in comb)
+        g = math.gcd(*w, *comb)
+        if g > 1:
+            w = [x // g for x in w]
+            comb = [x // g for x in comb]
+        basis.append((next(i for i, x in enumerate(w) if x), w, comb))
+        v = [sum(map(mul, r, v)) for r in rows]
+        k += 1
 
 
 def minimal_polynomial(a: IntMatrix) -> IntPoly:
@@ -263,67 +316,12 @@ def minimal_polynomial(a: IntMatrix) -> IntPoly:
     for start in range(n):
         if covered_degree >= n:
             break
-        v = tuple(Fraction(int(i == start)) for i in range(n))
-        # Krylov chain for this vector with exact elimination
-        basis = []
-        chain = [v]
-        cur = v
-        while True:
-            red = _frac_rref_insert(basis, cur)
-            if red is None:
-                break
-            basis.append(red)
-            cur = tuple(
-                sum(Fraction(a.rows[i][j]) * cur[j] for j in range(n)) for i in range(n)
-            )
-            chain.append(cur)
-        # chain[-1] depends on chain[:-1]: solve for the combination
-        k = len(chain) - 1
-        if k == 0:
-            continue
-        coeffs = _solve_dependency(chain[:-1], chain[-1], n)
-        local = IntPoly(tuple(-int(c) for c in coeffs) + (1,))
+        local = IntPoly(_local_minimal_polynomial(a.rows, start))
         result = _poly_lcm(result, local)
         covered_degree = max(covered_degree, result.degree)
         if result.degree == n:
             break
     return result
-
-
-def _solve_dependency(vectors, target, n):
-    """Solve sum c_i vectors[i] = target exactly; solution is unique and
-    integral for the Krylov chains produced above."""
-    k = len(vectors)
-    # Gaussian elimination on the k x (n+1) augmented system (transposed)
-    aug = [[vectors[i][r] for i in range(k)] + [target[r]] for r in range(n)]
-    aug = [[Fraction(x) for x in row] for row in aug]
-    piv_rows = []
-    col = 0
-    r0 = 0
-    for col in range(k):
-        sel = None
-        for r in range(r0, n):
-            if aug[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        aug[r0], aug[sel] = aug[sel], aug[r0]
-        inv = Fraction(1) / aug[r0][col]
-        aug[r0] = [x * inv for x in aug[r0]]
-        for r in range(n):
-            if r != r0 and aug[r][col] != 0:
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[r0])]
-        piv_rows.append((col, r0))
-        r0 += 1
-    sol = [Fraction(0)] * k
-    for col, r in piv_rows:
-        sol[col] = aug[r][k]
-    for c in sol:
-        if c.denominator != 1:
-            raise ArithmeticError("non-integer minimal polynomial coefficients")
-    return sol
 
 
 def _poly_lcm(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -566,38 +564,39 @@ class Lattice:
 
 def solve_columns_exact(b: IntMatrix, targets):
     """Solve b x = target over QQ for each target column; returns a list of
-    Fraction tuples or None if any system is inconsistent."""
+    Fraction tuples or None if any system is inconsistent.  Free
+    coordinates are zero.
+
+    Gauss-Jordan elimination runs on integer rows: a row is cleared by
+    cross-multiplication with the pivot row and divided by its content.
+    Only the returned values are Fractions."""
     n, r = b.nrows, b.ncols
-    k = len(targets)
-    aug = [[Fraction(b.rows[i][j]) for j in range(r)] + [Fraction(t[i]) for t in targets] for i in range(n)]
+    aug = [list(b.rows[i]) + [t[i] for t in targets] for i in range(n)]
     pivots = []
     rr = 0
     for col in range(r):
-        sel = None
-        for i in range(rr, n):
-            if aug[i][col] != 0:
-                sel = i
-                break
+        sel = next((i for i in range(rr, n) if aug[i][col]), None)
         if sel is None:
             continue
         aug[rr], aug[sel] = aug[sel], aug[rr]
-        inv = Fraction(1) / aug[rr][col]
-        aug[rr] = [x * inv for x in aug[rr]]
+        prow = aug[rr]
+        p = prow[col]
         for i in range(n):
-            if i != rr and aug[i][col] != 0:
-                c = aug[i][col]
-                aug[i] = [x - c * y for x, y in zip(aug[i], aug[rr])]
+            c = aug[i][col]
+            if i != rr and c:
+                row = [p * x - c * y for x, y in zip(aug[i], prow)]
+                g = math.gcd(*row)
+                aug[i] = [x // g for x in row] if g > 1 else row
         pivots.append((col, rr))
         rr += 1
     # consistency: rows beyond rr must have zero right-hand sides
-    for i in range(rr, n):
-        if any(aug[i][r + j] != 0 for j in range(k)):
-            return None
+    if any(any(aug[i][r:]) for i in range(rr, n)):
+        return None
     sols = []
-    for j in range(k):
+    for j in range(r, r + len(targets)):
         x = [Fraction(0)] * r
         for col, i in pivots:
-            x[col] = aug[i][r + j]
+            x[col] = Fraction(aug[i][j], aug[i][col])
         sols.append(tuple(x))
     return sols
 

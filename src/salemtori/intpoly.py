@@ -136,6 +136,8 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
+        if e < 0:
+            raise InputError(f"negative exponent {e}: integer polynomials are not inverted")
         result = IntPoly((1,))
         base = self
         while e:
@@ -270,19 +272,24 @@ def _zdivmod(a, b):
     return q, _mtrim(r)
 
 
-def _prem(a, b):
-    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b over ZZ, for
-    deg a >= deg b; it is that power of lc(b) times the remainder over QQ."""
+def _pdivmod(a, b):
+    """Pseudo-division over ZZ of a by nonzero b, deg a >= deg b: (q, r)
+    with lc(b)^(deg a - deg b + 1) * a = q*b + r and deg r < deg b.  The
+    pseudo-remainder r is that power of lc(b) times the remainder over QQ."""
     r = list(a)
     nb = len(b) - 1
     lc = b[-1]
+    q = [0] * (len(r) - nb)
     for d in range(len(r) - nb - 1, -1, -1):
         c = r.pop()
+        for i in range(d + 1, len(q)):
+            q[i] *= lc
+        q[d] = c
         for i in range(d):
             r[i] *= lc
         for i in range(nb):
             r[d + i] = r[d + i] * lc - c * b[i]
-    return _mtrim(r)
+    return q, _mtrim(r)
 
 
 def _primitive_part(a):
@@ -352,7 +359,7 @@ def _prs_gcd(f, g):
     sequence (W. S. Brown, J. ACM 18(4), 1971)."""
     a, b = (f, g) if len(f) >= len(g) else (g, f)
     while True:
-        r = _prem(a, b)
+        _, r = _pdivmod(a, b)
         if not r:
             break
         a, b = b, _primitive_part(r)
@@ -378,7 +385,7 @@ def _pos_lc(p: IntPoly) -> IntPoly:
 
 # ---------------------------------------------------------------------------
 # rational-coefficient helpers (lists of Fractions, ascending, trimmed), for
-# resultant and ext_gcd_rational
+# resultant
 
 
 def _to_frac(p: IntPoly):
@@ -541,7 +548,7 @@ def _sturm_chain(p: IntPoly):
     chain = [_primitive_part(list(p.coeffs)), _primitive_part(list(p.derivative().coeffs))]
     while True:
         a, b = chain[-2], chain[-1]
-        r = _prem(a, b)
+        _, r = _pdivmod(a, b)
         if not r:
             return chain
         if b[-1] > 0 or (len(a) - len(b)) % 2:
@@ -1155,58 +1162,48 @@ def is_irreducible(p: IntPoly) -> bool:
 # extended gcd over the rationals with cleared denominators
 
 
+def _cofactor_step(u, c, q, v):
+    """u*c - q*v for coefficient lists u, v, q and an integer c, trimmed."""
+    out = [x * c for x in u] + [0] * (len(q) + len(v) - 1 - len(u))
+    for i, x in enumerate(q):
+        if x:
+            for j, y in enumerate(v):
+                out[i + j] -= x * y
+    return _mtrim(out)
+
+
 def ext_gcd_rational(f1: IntPoly, f2: IntPoly):
     """(h1, h2, N) with h1*f1 + h2*f2 = N, integer polynomials, N nonzero.
 
-    Denominators of the rational Bezout identity are cleared by their lcm and
-    the triple divided by its integer content; signs are as produced by the
-    Euclidean remainder sequence.
+    The triple is the primitive integer multiple, by a positive factor, of
+    the Bezout identity u*f1 + v*f2 = r given by the Euclidean remainder
+    sequence over QQ from (f1, f2).  It is computed on integers: a
+    primitive pseudo-remainder sequence (W. S. Brown, J. ACM 18(4), 1971)
+    whose elements carry their integer cofactors, each triple divided by
+    its content and negated where needed, as in ``_sturm_chain``, so that
+    every element stays a positive multiple of the rational remainder.
     """
-    a, b = _to_frac(f1), _to_frac(f2)
-    if not _ftrim(list(a)) or not _ftrim(list(b)):
+    if f1.is_zero() or f2.is_zero():
         raise NotCoprime("zero input")
-    r0, r1 = a, b
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
+    # (remainder, cofactor of f1, cofactor of f2)
+    prev = (list(f1.coeffs), [1], [])
+    cur = (list(f2.coeffs), [], [1])
+    if f1.degree < f2.degree:
+        # the first quotient over QQ is zero and its remainder is f1 itself
+        prev, cur = cur, prev
     while True:
-        q, r = _qdivmod(r0, r1)
+        a, b = prev[0], cur[0]
+        q, r = _pdivmod(a, b)
         if not r:
             break
-        r0, r1 = r1, r
-        s0, s1 = s1, _fsub(s0, _fmul(q, s1))
-        t0, t1 = t1, _fsub(t0, _fmul(q, t1))
-    if len(r1) - 1 > 0:
-        raise NotCoprime(f"common factor of degree {len(r1) - 1}")
-    const = r1[0]
-    u, v = s1, t1
-    dens = [c.denominator for c in u] + [c.denominator for c in v] + [const.denominator]
-    L = math.lcm(*dens)
-    h1 = IntPoly(tuple(int(c * L) for c in u))
-    h2 = IntPoly(tuple(int(c * L) for c in v))
-    n = int(const * L)
-    g = math.gcd(math.gcd(h1.content(), h2.content()), abs(n))
-    if g > 1:
-        h1 = IntPoly(tuple(c // g for c in h1.coeffs))
-        h2 = IntPoly(tuple(c // g for c in h2.coeffs))
-        n //= g
-    return h1, h2, n
-
-
-def _fmul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _ftrim(out)
-
-
-def _fsub(a, b):
-    n = max(len(a), len(b))
-    out = [
-        (a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ]
-    return _ftrim(out)
+        scale = b[-1] ** (len(a) - len(b) + 1)
+        rem = [r] + [_cofactor_step(prev[i], scale, q, cur[i]) for i in (1, 2)]
+        g = math.gcd(*rem[0], *rem[1], *rem[2])
+        if scale < 0:
+            g = -g
+        prev, cur = cur, tuple([x // g for x in part] for part in rem)
+    if len(cur[0]) > 1:
+        raise NotCoprime(f"common factor of degree {len(cur[0]) - 1}")
+    (n,), h1, h2 = cur
+    g = math.gcd(n, *h1, *h2)
+    return IntPoly(tuple(x // g for x in h1)), IntPoly(tuple(x // g for x in h2)), n // g

@@ -219,7 +219,8 @@ def build_fibrations(action: IntMatrix) -> FibrationReport:
         raise NotUnimodular(f"determinant {det(action)}")
     m = minimal_polynomial(action)
     mfl = factor_over_z(m).factors
-    phi = char_poly(action)
+    # m divides phi and both are monic, so equal degrees make them equal
+    phi = m if m.degree == n2 else char_poly(action)
 
     if len(mfl) == 1 and mfl[0][1] == 1:
         raise NoDecomposition(
@@ -260,7 +261,8 @@ def build_fibrations(action: IntMatrix) -> FibrationReport:
 
     subs = []
     for f_own, f_other, h_other in ((f1, f2, h2), (f2, f1, h1)):
-        gen = matrix_poly_eval(f_other, action) * matrix_poly_eval(h_other, action)
+        # m(action) = 0, so this is f_other(action) * h_other(action)
+        gen = matrix_poly_eval((f_other * h_other).divmod_exact(m)[1], action)
         lat = saturate(Lattice.from_columns(n2, gen.columns()))
         induced = _restriction_char(action, lat)
         if induced != f_own:

@@ -1,12 +1,23 @@
-"""Exact linear algebra tests: normal forms, compounds, polynomials."""
+"""Exact linear algebra tests: normal forms, compounds, polynomials.
+
+The characteristic and minimal polynomials, p(A) and the column solves
+run on integers.  The property tests compare them with the forms the
+library used before, kept below as oracles: Krylov elimination and
+column solves over ``Fraction``, and Faddeev-LeVerrier and Horner on
+plain nested lists.
+"""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from salemtori import exactlin
 from salemtori.exceptions import BadRank, InputError, NotMonic, ZeroLattice
 from salemtori.exactlin import (
     IntMatrix,
@@ -67,6 +78,15 @@ def test_arithmetic_identities():
         assert a * IntMatrix.identity(4) == a
         v = tuple(rng.randint(-5, 5) for _ in range(4))
         assert (a * b).apply(v) == a.apply(b.apply(v))
+
+
+def test_negative_power_raises():
+    with pytest.raises(InputError, match="-1"):
+        IntMatrix(((1, 1), (0, 1))) ** -1
+    with pytest.raises(InputError, match="-3"):
+        IntMatrix.identity(2) ** -3
+    assert IntMatrix(((1, 1), (0, 1))) ** 0 == IntMatrix.identity(2)
+    assert IntMatrix(((1, 1), (0, 1))) ** 5 == IntMatrix(((1, 5), (0, 1)))
 
 
 def test_kron_and_direct_sum():
@@ -420,3 +440,292 @@ def test_unimodular_completion():
         for j in range(r):
             assert u.column(j) == lat.basis.column(j)
         done += 1
+
+
+# ---- the former forms, as the oracle ----
+
+
+def _naive_mul(x, y):
+    return [
+        [sum(x[i][k] * y[k][j] for k in range(len(y))) for j in range(len(y[0]))]
+        for i in range(len(x))
+    ]
+
+
+def _naive_identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def old_char_poly(a):
+    n = a.nrows
+    rows = [list(r) for r in a.rows]
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    m = _naive_identity(n)
+    for k in range(1, n + 1):
+        am = _naive_mul(rows, m)
+        t = sum(am[i][i] for i in range(n))
+        assert t % k == 0
+        c = -(t // k)
+        coeffs[n - k] = c
+        m = [[x + c * y for x, y in zip(r, s)] for r, s in zip(am, _naive_identity(n))]
+    return IntPoly(tuple(coeffs))
+
+
+def old_matrix_poly_eval(p, a):
+    n = a.nrows
+    rows = [list(r) for r in a.rows]
+    acc = [[0] * n for _ in range(n)]
+    for c in reversed(p.coeffs if p.coeffs else (0,)):
+        acc = [
+            [x + c * y for x, y in zip(r, s)]
+            for r, s in zip(_naive_mul(acc, rows), _naive_identity(n))
+        ]
+    return IntMatrix(tuple(tuple(r) for r in acc))
+
+
+def _frac_rref_insert(basis, v):
+    v = list(v)
+    for pivot, row in basis:
+        if v[pivot] != 0:
+            c = v[pivot]
+            v = [x - c * y for x, y in zip(v, row)]
+    for i, x in enumerate(v):
+        if x != 0:
+            inv = Fraction(1) / x
+            return i, [y * inv for y in v]
+    return None
+
+
+def old_solve_columns_exact(b, targets):
+    n, r = b.nrows, b.ncols
+    k = len(targets)
+    aug = [
+        [Fraction(b.rows[i][j]) for j in range(r)] + [Fraction(t[i]) for t in targets]
+        for i in range(n)
+    ]
+    pivots = []
+    rr = 0
+    for col in range(r):
+        sel = next((i for i in range(rr, n) if aug[i][col] != 0), None)
+        if sel is None:
+            continue
+        aug[rr], aug[sel] = aug[sel], aug[rr]
+        inv = Fraction(1) / aug[rr][col]
+        aug[rr] = [x * inv for x in aug[rr]]
+        for i in range(n):
+            if i != rr and aug[i][col] != 0:
+                c = aug[i][col]
+                aug[i] = [x - c * y for x, y in zip(aug[i], aug[rr])]
+        pivots.append((col, rr))
+        rr += 1
+    for i in range(rr, n):
+        if any(aug[i][r + j] != 0 for j in range(k)):
+            return None
+    sols = []
+    for j in range(k):
+        x = [Fraction(0)] * r
+        for col, i in pivots:
+            x[col] = aug[i][r + j]
+        sols.append(tuple(x))
+    return sols
+
+
+def _solve_dependency(vectors, target, n):
+    k = len(vectors)
+    aug = [[vectors[i][r] for i in range(k)] + [target[r]] for r in range(n)]
+    aug = [[Fraction(x) for x in row] for row in aug]
+    piv_rows = []
+    r0 = 0
+    for col in range(k):
+        sel = next((r for r in range(r0, n) if aug[r][col] != 0), None)
+        if sel is None:
+            continue
+        aug[r0], aug[sel] = aug[sel], aug[r0]
+        inv = Fraction(1) / aug[r0][col]
+        aug[r0] = [x * inv for x in aug[r0]]
+        for r in range(n):
+            if r != r0 and aug[r][col] != 0:
+                c = aug[r][col]
+                aug[r] = [x - c * y for x, y in zip(aug[r], aug[r0])]
+        piv_rows.append((col, r0))
+        r0 += 1
+    sol = [Fraction(0)] * k
+    for col, r in piv_rows:
+        sol[col] = aug[r][k]
+    assert all(c.denominator == 1 for c in sol)
+    return sol
+
+
+def sympy_lcm(f, g):
+    """Monic lcm of monic f and g, by sympy."""
+    t = sympy.symbols("t")
+    h = sympy.Poly(list(reversed(f.coeffs)), t).lcm(sympy.Poly(list(reversed(g.coeffs)), t))
+    return IntPoly(tuple(int(c) for c in reversed(h.monic().all_coeffs())))
+
+
+def old_minimal_polynomial(a):
+    n = a.nrows
+    result = IntPoly((1,))
+    for start in range(n):
+        if result.degree == n:
+            break
+        cur = tuple(Fraction(int(i == start)) for i in range(n))
+        basis, chain = [], [cur]
+        while True:
+            red = _frac_rref_insert(basis, cur)
+            if red is None:
+                break
+            basis.append(red)
+            cur = tuple(sum(Fraction(a.rows[i][j]) * cur[j] for j in range(n)) for i in range(n))
+            chain.append(cur)
+        coeffs = _solve_dependency(chain[:-1], chain[-1], n)
+        result = sympy_lcm(result, IntPoly(tuple(-int(c) for c in coeffs) + (1,)))
+    return result
+
+
+# ---- matrix strategies ----
+
+entries = st.integers(-9, 9)
+
+
+@st.composite
+def random_matrices(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
+    return IntMatrix(tuple(tuple(draw(entries) for _ in range(n)) for _ in range(n)))
+
+
+monic_factors = st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(
+    lambda cs: IntPoly(tuple(cs) + (1,))
+)
+
+
+@st.composite
+def blocks(draw):
+    """One block of a derogatory matrix: a companion of a power, a
+    Jordan-type block [[C, I], [0, C]], a scalar, zero or nilpotent block."""
+    kind = draw(st.sampled_from(["companion", "power", "jordan", "scalar", "nilpotent"]))
+    if kind == "companion":
+        return companion(draw(monic_factors))
+    if kind == "power":
+        p = draw(monic_factors)
+        return companion(p ** draw(st.integers(2, max(2, 6 // p.degree))))
+    if kind == "jordan":
+        c = companion(draw(monic_factors.filter(lambda p: p.degree <= 2)))
+        d = c.nrows
+        upper = tuple(r + tuple(int(i == j) for j in range(d)) for i, r in enumerate(c.rows))
+        return IntMatrix(upper + tuple((0,) * d + r for r in c.rows))
+    d = draw(st.integers(1, 3))
+    if kind == "scalar":
+        return IntMatrix.identity(d) * draw(st.integers(-3, 3))
+    return IntMatrix(
+        tuple(tuple(draw(entries) if j > i else 0 for j in range(d)) for i in range(d))
+    )
+
+
+@st.composite
+def derogatory_matrices(draw):
+    parts = []
+    size = 0
+    for _ in range(draw(st.integers(1, 4))):
+        b = draw(blocks())
+        if size + b.nrows > 8:
+            break
+        # repeat a block to make the matrix derogatory more often
+        for _ in range(draw(st.integers(1, 2))):
+            if size + b.nrows <= 8:
+                parts.append(b)
+                size += b.nrows
+    assume(parts)
+    out = parts[0]
+    for b in parts[1:]:
+        out = out.direct_sum(b)
+    return out
+
+
+@st.composite
+def conjugated_matrices(draw):
+    """U B U^-1 for a derogatory B and U a unimodular completion of a
+    random primitive column."""
+    b = draw(derogatory_matrices())
+    n = b.nrows
+    col = tuple(draw(st.integers(-3, 3)) for _ in range(n))
+    assume(any(col) and math.gcd(*col) == 1)
+    u = unimodular_completion(IntMatrix.from_columns([col]))
+    inv = old_solve_columns_exact(u, IntMatrix.identity(n).columns())
+    uinv = IntMatrix.from_columns([tuple(int(c) for c in x) for x in inv])
+    return u * b * uinv
+
+
+matrices = random_matrices() | derogatory_matrices() | conjugated_matrices()
+
+
+@given(a=matrices)
+def test_minimal_polynomial_matches_fraction_krylov(a):
+    m = minimal_polynomial(a)
+    assert m == old_minimal_polynomial(a)
+    assert matrix_poly_eval(m, a) == IntMatrix.zero(a.nrows, a.nrows)
+    assert m.divides(char_poly(a))
+
+
+@given(a=matrices)
+def test_char_poly_matches_leverrier_on_lists(a):
+    assert char_poly(a) == old_char_poly(a)
+
+
+@given(a=matrices, p=st.lists(st.integers(-9, 9), max_size=7).map(lambda cs: IntPoly(tuple(cs))))
+def test_matrix_poly_eval_matches_horner_on_lists(a, p):
+    assert matrix_poly_eval(p, a) == old_matrix_poly_eval(p, a)
+
+
+@st.composite
+def column_systems(draw):
+    """(b, targets): an n x r integer matrix, often rank-deficient, and
+    targets that are images b x (consistent) or random (mostly not)."""
+    n, r = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cols = [tuple(draw(entries) for _ in range(n)) for _ in range(r)]
+    for j in range(r):
+        if draw(st.booleans()) and j:
+            # a combination of earlier columns
+            c = draw(st.integers(-2, 2))
+            cols[j] = tuple(x + c * y for x, y in zip(cols[j - 1], cols[0]))
+    b = IntMatrix.from_columns(cols)
+    targets = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            targets.append(b.apply(tuple(draw(entries) for _ in range(r))))
+        else:
+            targets.append(tuple(draw(entries) for _ in range(n)))
+    return b, targets
+
+
+@given(system=column_systems())
+def test_solve_columns_exact_matches_fraction_gauss_jordan(system):
+    b, targets = system
+    got = solve_columns_exact(b, targets)
+    assert got == old_solve_columns_exact(b, targets)
+    if got is not None:
+        assert all(type(c) is Fraction for col in got for c in col)
+
+
+def test_exact_linear_algebra_builds_no_fraction(monkeypatch):
+    made = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            made.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(exactlin, "Fraction", Counted)
+    w = wedge_power(companion(P1), 2)
+    jordan = IntMatrix(((0, 1, 1, 0), (-1, 0, 0, 1), (0, 0, 0, 1), (0, 0, -1, 0)))
+    for a in (w, jordan, companion(P1).direct_sum(companion(P1))):
+        m = minimal_polynomial(a)
+        char_poly(a)
+        matrix_poly_eval(m, a)
+    assert made == []
+    # the column solve builds Fractions only for the values it returns
+    b = IntMatrix.from_columns([(2, 0, 0), (0, 3, 0)])
+    sols = solve_columns_exact(b, [(1, 1, 0), (4, 6, 0)])
+    assert sols == [(Fraction(1, 2), Fraction(1, 3)), (Fraction(2), Fraction(2))]
+    assert len(made) <= 2 * (b.ncols + 1)

@@ -1,11 +1,11 @@
 """Property tests for the integer kernels of ``intpoly``.
 
-``gcd``, the exact divisions, Sturm counting, bisection and the
-factorizer's F_p[x] steps run on Python integers.  Each is checked
-against the form the library used before, kept below as the oracle:
-Euclid and division over ``Fraction``, Sturm chains and bisection over
-``Fraction``, and distinct- and equal-degree factorization on coefficient
-lists.  ``gcd`` is also checked against sympy.  Inputs include contents,
+``gcd``, the exact divisions, Sturm counting, bisection, the extended
+gcd and the factorizer's F_p[x] steps run on Python integers.  Each is
+checked against the form the library used before, kept below as the
+oracle: Euclid and division over ``Fraction``, Sturm chains and
+bisection over ``Fraction``, the extended Euclid over ``Fraction``, and
+distinct- and equal-degree factorization on coefficient lists.  ``gcd`` is also checked against sympy.  Inputs include contents,
 non-monic polynomials, repeated factors and zero or constant
 polynomials; all are drawn under the derandomized profile of
 ``conftest.py``.
@@ -24,9 +24,10 @@ from hypothesis import strategies as st
 
 from salemtori import intpoly
 from salemtori.exactlin import companion
-from salemtori.exceptions import EndpointIsRoot, InputError, SalemtoriError
+from salemtori.exceptions import EndpointIsRoot, InputError, NotCoprime, SalemtoriError
 from salemtori.intpoly import (
     IntPoly,
+    ext_gcd_rational,
     exterior_resolvent,
     gcd,
     is_squarefree,
@@ -114,6 +115,51 @@ def old_gcd(p, q):
     result = _pos_lc(IntPoly(tuple(int(c * den) for c in g)).primitive())
     cont = math.gcd(p.content(), q.content())
     return result * cont if cont > 1 else result
+
+
+def _fmul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ftrim(out)
+
+
+def _fsub(a, b):
+    n = max(len(a), len(b))
+    out = [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
+    return _ftrim([Fraction(c) for c in out])
+
+
+def old_ext_gcd_rational(f1, f2):
+    a, b = _frac(f1), _frac(f2)
+    if not a or not b:
+        raise NotCoprime("zero input")
+    r0, r1 = a, b
+    s0, s1 = [Fraction(1)], []
+    t0, t1 = [], [Fraction(1)]
+    while True:
+        q, r = old_qdivmod(r0, r1)
+        if not r:
+            break
+        r0, r1 = r1, r
+        s0, s1 = s1, _fsub(s0, _fmul(q, s1))
+        t0, t1 = t1, _fsub(t0, _fmul(q, t1))
+    if len(r1) - 1 > 0:
+        raise NotCoprime(f"common factor of degree {len(r1) - 1}")
+    const = r1[0]
+    den = math.lcm(*[c.denominator for c in s1 + t1], const.denominator)
+    h1 = IntPoly(tuple(int(c * den) for c in s1))
+    h2 = IntPoly(tuple(int(c * den) for c in t1))
+    n = int(const * den)
+    g = math.gcd(h1.content(), h2.content(), n)
+    return (
+        IntPoly(tuple(c // g for c in h1.coeffs)),
+        IntPoly(tuple(c // g for c in h2.coeffs)),
+        n // g,
+    )
 
 
 def old_squarefree_part(p):
@@ -427,6 +473,32 @@ def test_enclosure_matches_fraction_bisection(case, eps):
     assert got == outcome(old_real_root_enclosure, *case, eps)
     if isinstance(got, tuple):
         assert all(type(x) is Fraction for x in got)
+
+
+@given(a=any_poly, b=any_poly, common=st.one_of(factors, st.just(IntPoly((1,)))))
+def test_ext_gcd_matches_fraction_euclid(a, b, common):
+    f, g = common * a, common * b
+    got = outcome(ext_gcd_rational, f, g)
+    assert got == outcome(old_ext_gcd_rational, f, g)
+    if isinstance(got, tuple):
+        h1, h2, n = got
+        assert h1 * f + h2 * g == IntPoly((n,))
+
+
+def test_ext_gcd_builds_no_fraction(monkeypatch):
+    made = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            made.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(intpoly, "Fraction", Counted)
+    f1 = IntPoly.parse("1,-3,1") ** 3
+    f2 = IntPoly.parse("1,1,1,1,1") * IntPoly.parse("2,0,-3")
+    h1, h2, n = ext_gcd_rational(f1, f2)
+    assert h1 * f1 + h2 * f2 == IntPoly((n,))
+    assert made == []
 
 
 def test_kernels_build_no_fraction(monkeypatch):

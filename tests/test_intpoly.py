@@ -91,6 +91,13 @@ def test_zero_and_degree():
 # ---- arithmetic ----
 
 
+def test_negative_power_raises():
+    with pytest.raises(InputError, match="-1"):
+        IntPoly.parse("1,1") ** -1
+    assert IntPoly.parse("1,1") ** 0 == IntPoly((1,))
+    assert IntPoly.parse("1,1") ** 3 == IntPoly.parse("1,3,3,1")
+
+
 def test_ring_identities_random():
     rng = random.Random(101)
     for _ in range(50):

@@ -263,6 +263,42 @@ def test_build_fibrations_factors_only_the_minimal_polynomial(monkeypatch):
     ]
 
 
+def test_build_fibrations_char_poly_only_for_derogatory_actions(monkeypatch):
+    seen = []
+    real = torus.char_poly
+
+    def counting(a):
+        seen.append(a)
+        return real(a)
+
+    monkeypatch.setattr(torus, "char_poly", counting)
+    # cyclic: m = phi has degree 6, so phi is not computed from the action
+    u = IntMatrix(
+        (
+            (1, 0, 0, 2, 0, 0),
+            (0, 1, 0, 0, 1, 0),
+            (0, 0, 1, 0, 0, 3),
+            (1, 0, 0, 3, 0, 0),
+            (0, 0, 2, 0, 1, 6),
+            (0, 0, 0, 0, 0, 1),
+        )
+    )
+    assert abs(det(u)) == 1
+    b = u * companion(SALEM2).direct_sum(companion(PHI5)) * _inverse_unimodular(u)
+    assert minimal_polynomial(b).degree == 6
+    rep = build_fibrations(b)
+    assert b not in seen
+    assert len(seen) == 2  # the two restrictions
+    assert rep.bezout[2] != 0
+    # derogatory: m = (x^2-3x+1)(x^2+x+1) has degree 4 < 6
+    seen.clear()
+    a = companion(SALEM2).direct_sum(companion(SALEM2)).direct_sum(
+        companion(IntPoly.parse("1,1,1"))
+    )
+    build_fibrations(a)
+    assert seen.count(a) == 1
+
+
 def test_build_fibrations_kernel_route():
     c = companion(IntPoly.parse("1,0,1"))
     b = IntMatrix(
