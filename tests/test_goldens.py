@@ -12,7 +12,10 @@ ordered-triple resolvent, and the ``wedge-cube``, ``pair-sum`` and
 two block-matrix ``degrees`` goldens were produced by this runner before
 eigenvalue lookups went through one shared root store.  The two
 ``fibration`` goldens were produced by this runner before polynomial
-division and gcds moved from ``Fraction`` arithmetic to integers.
+division and gcds moved from ``Fraction`` arithmetic to integers.  The
+two ``-top-blocks`` ``degrees`` goldens were produced by this runner
+while the first-degree Salem test still left their top-two-moduli cases
+undecided.
 
 Regenerate (only when a change of output is intended and recorded):
 
@@ -61,6 +64,22 @@ def _block(*polys):
 CASES["degrees-equal-moduli-blocks"] = ["degrees", _block("1,-3,1", "1,0,7,0,1"), "--dim", "3"]
 # inverse partners across the mutually reversed factors x^2-x-1, x^2+x-1
 CASES["degrees-reversed-blocks"] = ["degrees", _block("-1,-1,1", "-1,1,1"), "--dim", "2"]
+# a real top root of x^2-7x+1 and a nonreal second root of x^4+7x^2+1:
+# lambda_1 = 9+4 sqrt 5, a root of the Salem polynomial x^2-18x+1
+CASES["degrees-real-nonreal-top-blocks"] = [
+    "degrees",
+    _block("1,-7,1", "1,0,7,0,1"),
+    "--dim",
+    "3",
+]
+# M + M for M = C(x^4+7x^2+1): a nonreal top root of multiplicity 2, and
+# lambda_1 = (7+3 sqrt 5)/2, a root of the Salem polynomial x^2-7x+1
+CASES["degrees-repeated-nonreal-top-blocks"] = [
+    "degrees",
+    _block("1,0,7,0,1", "1,0,7,0,1"),
+    "--dim",
+    "4",
+]
 CASES["sweep-bound-1"] = ["sweep", "--trace-coeff-bound", "1"]
 # coprime splits with their Bezout identities: a reducible sextic, and a
 # block matrix whose char poly holds the first factor of m squared
