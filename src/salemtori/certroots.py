@@ -35,10 +35,12 @@ from .exceptions import (
     VerificationFailed,
 )
 from .intpoly import (
+    FactorList,
     IntPoly,
     _hvalue,
     cauchy_bound,
     exterior_resolvent,
+    factor_over_z,
     gcd as poly_gcd,
     is_squarefree,
     square_value_poly,
@@ -927,11 +929,22 @@ class RootSystem:
 
 class RootStore(dict):
     """One RootSystem per squarefree polynomial, isolated at 2^-24 on first
-    request and refined in place by every reader; an analysis owns one."""
+    request and refined in place by every reader, and one factorization
+    per polynomial, made on first request; an analysis owns one."""
+
+    def __init__(self, systems=(), factored=()):
+        super().__init__(systems)
+        self.factored = dict(factored)
 
     def __missing__(self, p: IntPoly) -> RootSystem:
         rs = self[p] = isolate_roots(p, Fraction(1, 1 << 24))
         return rs
+
+    def factors(self, p: IntPoly) -> FactorList:
+        """factor_over_z(p), made once per store."""
+        if p not in self.factored:
+            self.factored[p] = factor_over_z(p)
+        return self.factored[p]
 
 
 def _checked_level(m: int) -> int:

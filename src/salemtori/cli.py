@@ -44,7 +44,6 @@ from .salem import (
     classify_special,
     dynamical_degrees,
     enumerate_special,
-    first_dynamical_degree_salem,
     gross_mcmullen,
     is_salem,
 )
@@ -281,11 +280,9 @@ def _sweep_row(trace_poly, sx, args):
     deg = sx.degrees
     table = picard_table(sx, c_max=args.c_max, precision_bits=args.precision_bits)
     rho_values = sorted({rep.rho for _t, _f, rep in table})
-    if not is_irreducible(sx.poly):
-        failed.append("irreducible")
-    if fibration_exists(sx.poly):
-        failed.append("no-fibration")
-    if first_dynamical_degree_salem(sx):
+    if "irreducible" in sx.classification.failed():  # then a fibration exists
+        failed += ["irreducible", "no-fibration"]
+    if deg.salem_first:
         failed.append("first-degree-not-salem")
     if (1, 2) not in deg.exact_equalities:
         failed.append("lambda1-equals-lambda2")

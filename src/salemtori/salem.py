@@ -19,6 +19,7 @@ on the unit circle and pairs of roots certified mutually inverse.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
@@ -31,6 +32,7 @@ from .certroots import (
     RootSystem,
     _modsq_interval,
     _modsq_radical,
+    _modsq_resolvent,
     _same_root,
     certify_value_match,
     derived_value,
@@ -50,6 +52,7 @@ from .exceptions import (
     VerificationFailed,
 )
 from .intpoly import (
+    FactorList,
     IntPoly,
     cauchy_bound,
     composed_product,
@@ -60,8 +63,6 @@ from .intpoly import (
     is_squarefree,
     real_root_enclosure,
     shifted_pair_resolvent,
-    square_value_poly,
-    squarefree_part,
     sturm_count,
 )
 
@@ -209,10 +210,11 @@ class SexticAnalysis:
 
     @cached_property
     def store(self) -> RootStore:
-        """One root system per polynomial whose roots the questions on this
-        sextic read, seeded with the classification's roots."""
-        cls = self.classification
-        return RootStore({self.poly: cls.roots} if cls.is_special else {})
+        """The root systems and factorizations the questions on this
+        sextic read, seeded with those the classification proved."""
+        p, cls = self.poly, self.classification
+        seeds = ({p: cls.roots}, {p: FactorList(Fraction(1), ((p, 1),))}) if cls.is_special else ()
+        return RootStore(*seeds)
 
     def refine_to_bits(self, precision_bits: int):
         """Make the root radius at most 2^-max(24, precision_bits)."""
@@ -248,7 +250,7 @@ class SexticAnalysis:
     def wedge2_factors(self):
         """Factorization of the exterior-square resolvent, whose roots are
         the 15 pair products."""
-        return factor_over_z(exterior_resolvent(self.poly, 2))
+        return self.store.factors(exterior_resolvent(self.poly, 2))
 
     @cached_property
     def wedge2_match(self):
@@ -430,7 +432,7 @@ class _Spectrum(FactorRoots):
     algebraic multiplicity."""
 
     def __init__(self, chi: IntPoly, store: RootStore):
-        super().__init__(factor_over_z(chi), store)
+        super().__init__(store.factors(chi), store)
 
     def instances(self):
         out = []
@@ -494,18 +496,16 @@ class _Spectrum(FactorRoots):
         return self.locate(value)
 
 
-def _modsq_root(spec: _Spectrum, fi, si):
-    """(m, slot): the exact minimal polynomial m of |root|^2 for one
-    spectrum slot, and the slot of |root|^2 among the roots of m."""
-    f = spec.factor(fi)
-    v = spec.product_value((fi, si), spec.conj_instance(fi, si))
-    if spec.is_real(fi, si):
-        poly = square_value_poly(f)
-    else:
-        poly = squarefree_part(exterior_resolvent(f, 2))
-    roots = FactorRoots(factor_over_z(poly), spec.store)
-    gi, slot = roots.locate(v)
-    return roots.factor(gi), slot
+def _min_poly_at(spec: _Spectrum, poly: IntPoly, value: CertValue) -> IntPoly:
+    """The factor of poly, factored once per store, with value as a root."""
+    roots = FactorRoots(spec.store.factors(poly), spec.store)
+    return roots.factor(roots.locate(value)[0])
+
+
+def _modsq_root(spec: _Spectrum, inst) -> IntPoly:
+    """The minimal polynomial of |root|^2 at one spectrum instance."""
+    v = spec.product_value(inst, spec.conj_instance(*inst))
+    return _min_poly_at(spec, _modsq_resolvent(spec.factor(inst[0]), spec.is_real(*inst)), v)
 
 
 def _equal_modsq(spec: _Spectrum, a, b) -> bool:
@@ -660,40 +660,47 @@ def _degree_report(spec: _Spectrum, n: int) -> DegreeReport:
 
 
 def _salem_first(spec: _Spectrum, order) -> bool:
-    """Whether the first dynamical degree (product of the top two moduli)
-    is a Salem number, by pinning its exact minimal polynomial.
-
-    ``first_dynamical_degree_salem`` answers through this on reducible
-    sextics: for p = (x^2-3x+1)(x^4-5x^3+7x^2-5x+1) the top two moduli are
-    the real Salem roots of the two factors, and their product is not a
-    Salem number, so the answer is False.
+    """Whether lambda_1 = |a| |b|, a and b the top two instances of order,
+    is a Salem number.  Each answer but lambda_1 = 1 is is_salem of a
+    located minimal polynomial: of |a|^2 when b is a or its conjugate, of
+    |a| when b lies on the unit circle, of |ab| when both are real, and
+    otherwise of lambda_1^2.
     """
     a, b = order[0], order[1]
-    if spec.is_eq1(*a) and spec.is_eq1(*b):
-        return False  # lambda_1 = 1
+    if spec.is_eq1(*a):
+        return False  # every modulus is 1, so lambda_1 = 1
+    if b in (a, spec.conj_instance(*a)):
+        return is_salem(_modsq_root(spec, a)).is_salem
     if spec.is_eq1(*b):
         # lambda_1 = |root_a|, root_a real (a nonreal one has its conjugate
         # sorted ahead of b), and its disk, narrower than 1, shows its sign
         f = spec.factor(a[0])
         return is_salem(f.negate_variable() if spec.ball(*a).re < 0 else f).is_salem
-    # both top ranks off the circle
-    if b == spec.conj_instance(*a) or (spec.is_real(*a) and a == b):
-        m, _slot = _modsq_root(spec, *a)
-        return is_salem(m).is_salem
     if spec.is_real(*a) and spec.is_real(*b):
-        # product of two real eigenvalues; take the modulus of the product
+        # product of two real eigenvalues: two roots of one factor, or one
+        # root of each; take the modulus of the product
         v = spec.product_value(a, b)
         fa, fb = spec.factor(a[0]), spec.factor(b[0])
-        # two roots of one factor, or one root of each
         poly = exterior_resolvent(fa, 2) if a[0] == b[0] else composed_product(fa, fb)
-        roots = FactorRoots(factor_over_z(squarefree_part(poly)), spec.store)
-        m = roots.factor(roots.locate(v)[0])
-        if v.ball.re - v.ball.rad < 0:
-            m = m.negate_variable()
-            if m.lc < 0:
-                m = -m
-        return is_salem(m).is_salem
-    return False
+        m = _min_poly_at(spec, poly, v)
+        # an odd-degree m(-x) is not monic, and is not Salem either way
+        return is_salem(m.negate_variable() if v.ball.re - v.ball.rad < 0 else m).is_salem
+    return _salem_first_squared(spec, a, b)
+
+
+def _salem_first_squared(spec: _Spectrum, a, b) -> bool:
+    """Whether lambda_1 = |a| |b| is a Salem number, through the minimal
+    polynomial M of lambda_1^2 = |a|^2 |b|^2.  Powers of a Salem number are
+    Salem, so a non-Salem M answers False.  Otherwise M(x^2) is irreducible
+    or +-g(x)g(-x), and only a factor holding lambda_1 can be Salem: phi^2
+    is a Salem number, phi is not."""
+    insts = (a, spec.conj_instance(*a), b, spec.conj_instance(*b))
+    v = derived_value(lambda: math.prod(spec.ball(*i) for i in insts), spec.systems_of(*insts))
+    m = _min_poly_at(spec, composed_product(_modsq_root(spec, a), _modsq_root(spec, b)), v)
+    if not is_salem(m).is_salem:
+        return False
+    m_x2 = IntPoly(tuple(c for x in m.coeffs for c in (x, 0))[:-1])
+    return any(is_salem(g).is_salem for g, _mult in spec.store.factors(m_x2))
 
 
 # ---------------------------------------------------------------------------
@@ -704,26 +711,21 @@ def first_dynamical_degree_salem(p) -> bool:
     """Whether the first dynamical degree of the 3-torus automorphism with
     analytic eigenvalue data from p is a Salem number.
 
-    For a special sextic the exact minimal polynomial of alpha*conj(alpha),
-    alpha a largest-modulus root, is matched out of the exterior-square
-    factorization and tested.  A reducible monic unimodular sextic goes
-    through the ``salem_first`` route of ``dynamical_degrees``: the lattice
-    spectrum of a complex-torus map is S together with conj(S), so lambda_1
-    is the product of its two largest moduli.  For
-    p = (x^2-3x+1)(x^4-5x^3+7x^2-5x+1) that product is not a Salem number.
+    p must classify special or be a reducible monic unimodular sextic.
+    The lattice spectrum of a complex-torus map is S with conj(S), so this
+    is the ``salem_first`` of ``dynamical_degrees``, read off the roots of p
+    in the analysis's store.  For p = (x^2-3x+1)(x^4-5x^3+7x^2-5x+1),
+    lambda_1 is a product of two real Salem numbers, not a Salem number.
     """
     sx = SexticAnalysis.of(p)
-    if sx.classification.is_special:
-        # alpha = root 2 (modulus > 1, Im > 0), conj is root 5
-        fi, _slot = sx.wedge2_match[ALL_PAIRS.index((2, 5))]
-        return is_salem(sx.wedge2_factors.factors[fi][0]).is_salem
-    p = sx.poly
-    if p.degree == 6 and p.is_monic() and abs(p[0]) == 1 and not is_irreducible(p):
-        spec = _Spectrum(p, sx.store)
-        return _salem_first(spec, _sorted_instances(spec))
-    raise ClassificationRequired(
-        "input must classify special or be a reducible monic unimodular sextic"
-    )
+    p, cls = sx.poly, sx.classification
+    reducible = p.degree == 6 and p.is_monic() and abs(p[0]) == 1 and "irreducible" in cls.failed()
+    if not (cls.is_special or reducible):
+        raise ClassificationRequired(
+            "input must classify special or be a reducible monic unimodular sextic"
+        )
+    spec = _Spectrum(p, sx.store)
+    return _salem_first(spec, _sorted_instances(spec))
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,7 @@ from salemtori import (
     saturate,
 )
 from salemtori.cli import main
-from salemtori.intpoly import cauchy_bound, ext_gcd_rational, gcd, sturm_count
-from salemtori.salem import square_value_poly
+from salemtori.intpoly import cauchy_bound, ext_gcd_rational, gcd, square_value_poly, sturm_count
 
 P1 = "1,3,5,5,5,3,1"
 P2 = "1,-5,13,-11,13,-5,1"

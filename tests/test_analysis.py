@@ -4,7 +4,8 @@ Each public question on a special sextic classifies it once and isolates
 its roots once, and one analysis passed to several questions does both
 only once in total.  A sweep row isolates no polynomial twice, counting
 every isolation: the sextic's, its spectrum's and those of the resolvent
-factors that values are located among.  None of the questions builds a
+factors that values are located among; nor does it factor any polynomial
+twice.  None of the questions builds a
 matrix characteristic polynomial: the pair and triple resolvents come
 from power sums.
 """
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from salemtori import certroots, cli, exactlin, galois, salem, torus
+from salemtori import certroots, cli, exactlin, galois, intpoly, salem, torus
 from salemtori.exceptions import NotSpecial
 from salemtori.intpoly import FactorList, IntPoly
 from salemtori.salem import SexticAnalysis, classify_special
@@ -128,6 +129,29 @@ def test_sweep_row_isolates_no_polynomial_twice(monkeypatch):
         assert seen[p] == 1, str(p)
         assert max(seen.values()) == 1, str(p)
         seen.clear()
+        rows += 1
+    assert rows == 12
+
+
+def test_sweep_row_factors_no_polynomial_twice(monkeypatch):
+    seen = Counter()
+    factor = intpoly.factor_over_z
+
+    def counting_factor(p):
+        seen[p] += 1
+        return factor(p)
+
+    for module in (intpoly, certroots, salem, galois, torus):
+        monkeypatch.setattr(module, "factor_over_z", counting_factor, raising=False)
+    args = argparse.Namespace(c_max=100, precision_bits=128)
+    rows = 0
+    # the classification enumerate_special hands over has factored the
+    # sextic once; the row reads its verdict and factors it no more
+    for q, p, cls in salem.enumerate_special(1):
+        seen.clear()
+        cli._sweep_row(q, SexticAnalysis(p, cls), args)
+        assert seen[p] == 0, str(p)
+        assert max(seen.values()) == 1, str(p)
         rows += 1
     assert rows == 12
 

@@ -15,7 +15,7 @@ eigenvalue lookups went through one shared root store.  The two
 division and gcds moved from ``Fraction`` arithmetic to integers.  The
 two ``-top-blocks`` ``degrees`` goldens were produced by this runner
 while the first-degree Salem test still left their top-two-moduli cases
-undecided.
+undecided; deciding them flipped their ``salem_first`` to true.
 
 Regenerate (only when a change of output is intended and recorded):
 

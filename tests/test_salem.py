@@ -18,6 +18,7 @@ from salemtori.intpoly import (
     factor_over_z,
     is_irreducible,
     real_root_enclosure,
+    square_value_poly,
     sturm_count,
 )
 from salemtori.salem import (
@@ -27,7 +28,6 @@ from salemtori.salem import (
     first_dynamical_degree_salem,
     gross_mcmullen,
     is_salem,
-    square_value_poly,
 )
 from wedge import wedge_power
 
@@ -468,13 +468,28 @@ def test_salem_first_decided_only_when_read(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="_salem_first leaves a real top root with a nonreal second root "
-    "undecided and answers False (ROADMAP item 3)",
-)
 def test_salem_first_real_and_nonreal_top_roots():
     # lambda_1 = 9 + 4 sqrt 5, a root of the Salem polynomial x^2 - 18x + 1
     assert is_salem(IntPoly.parse("1,-18,1")).is_salem
     blocks = companion(IntPoly.parse("1,-7,1")).direct_sum(companion(IntPoly.parse("1,0,7,0,1")))
     assert dynamical_degrees(blocks, 3).salem_first is True
+
+
+def test_salem_first_repeated_nonreal_top_root():
+    # the top root of x^4+7x^2+1 is nonreal and doubled: lambda_1 is its
+    # modulus squared, (7 + 3 sqrt 5)/2, a root of x^2 - 7x + 1
+    doubled = IntPoly.parse("1,0,7,0,1") ** 2
+    assert dynamical_degrees(companion(doubled), 4).salem_first is True
+
+
+def test_salem_first_square_salem_but_first_degree_not():
+    # lambda_1 = (7 + 3 sqrt 5)/2 * (1 + sqrt 5)/2 = (11 + 5 sqrt 5)/2, a
+    # root of x^2 - 11x - 1, is not Salem, though lambda_1^2 is a root of
+    # the Salem polynomial x^2 - 123x + 1
+    assert not is_salem(IntPoly.parse("-1,-11,1")).is_salem
+    assert is_salem(IntPoly.parse("1,-123,1")).is_salem
+    blocks = companion(IntPoly.parse("1,-7,1")).direct_sum(companion(IntPoly.parse("1,0,3,0,1")))
+    rep = dynamical_degrees(blocks, 3)
+    lo, hi = rep.lambdas[1]
+    assert (2 * lo - 11) ** 2 < 125 < (2 * hi - 11) ** 2
+    assert rep.salem_first is False
