@@ -219,8 +219,6 @@ def build_fibrations(action: IntMatrix) -> FibrationReport:
         raise NotUnimodular(f"determinant {det(action)}")
     m = minimal_polynomial(action)
     mfl = factor_over_z(m).factors
-    # m divides phi and both are monic, so equal degrees make them equal
-    phi = m if m.degree == n2 else char_poly(action)
 
     if len(mfl) == 1 and mfl[0][1] == 1:
         raise NoDecomposition(
@@ -244,6 +242,8 @@ def build_fibrations(action: IntMatrix) -> FibrationReport:
 
     from .intpoly import ext_gcd_rational
 
+    # m divides phi and both are monic, so equal degrees make them equal
+    phi = m if m.degree == n2 else char_poly(action)
     q1, k1 = mfl[0]
     m1 = q1**k1
     m2 = m.div_exact(m1)

@@ -299,6 +299,27 @@ def test_build_fibrations_char_poly_only_for_derogatory_actions(monkeypatch):
     assert seen.count(a) == 1
 
 
+def test_build_fibrations_char_poly_only_on_the_coprime_route(monkeypatch):
+    seen = []
+    real = torus.char_poly
+
+    def counting(a):
+        seen.append(a)
+        return real(a)
+
+    monkeypatch.setattr(torus, "char_poly", counting)
+    # kernel route: m = (x^2-3x+1)^2 has degree 4 < 6, and phi is not read
+    a = companion(SALEM2 * SALEM2).direct_sum(companion(SALEM2))
+    assert build_fibrations(a).route == "kernel_of_power"
+    assert a not in seen
+    assert len(seen) == 1  # the restriction
+    # irreducible m = x^2-3x+1 of degree 2 < 4: no decomposition
+    seen.clear()
+    with pytest.raises(NoDecomposition):
+        build_fibrations(companion(SALEM2).direct_sum(companion(SALEM2)))
+    assert seen == []
+
+
 def test_build_fibrations_kernel_route():
     c = companion(IntPoly.parse("1,0,1"))
     b = IntMatrix(
