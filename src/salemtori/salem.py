@@ -12,8 +12,8 @@ The degree sequence of the induced torus automorphism is pure linear
 algebra: the p-th dynamical degree is the spectral radius of the action on
 the 2p-th exterior power, i.e. the product of the 2p largest eigenvalue
 moduli.  Equalities between degrees are certified structurally: a window of
-ranks multiplies to exactly 1 precisely when it splits into roots certified
-on the unit circle and pairs of roots certified mutually inverse.
+ranks multiplies to exactly 1 when it splits into roots certified on the
+unit circle and pairs of roots z, w certified to have w = 1/z or -1/z.
 """
 
 from __future__ import annotations
@@ -471,26 +471,29 @@ class _Spectrum(FactorRoots):
         return (fi, self.systems[fi].conj[si])
 
     def inverse_partner(self, fi, si):
-        """(gi, sj) of the root equal to 1 / this root, or None.
+        """(gi, sj) of the root equal to 1 / this root or, when there is
+        none, to -1 / this root, so of modulus 1 / |this root|; or None.
 
-        Within a self-reciprocal factor this is the recip involution; a
-        cross-factor partner exists exactly when the other factor is the
-        reversal of this one, and is then located by exact disk inversion.
+        Within a self-reciprocal factor this is the recip involution.
+        Otherwise a partner exists exactly when a factor is the reversal of
+        this one or of its image under x -> -x, and is then located by
+        exact disk inversion.
         """
         recip = self.systems[fi].recip
         if recip is not None:
             return (fi, recip[si])
         rev = self.factor(fi).reverse().primitive()
-        if rev.lc < 0:
-            rev = -rev
-        if all(g != rev for g, _m in self.factors):
+        for sign, g in ((1, rev), (-1, rev.negate_variable())):
+            if any(f == (g if g.lc > 0 else -g) for f, _m in self.factors):
+                break
+        else:
             return None
 
         rs = self.systems[fi]
 
         def inverse():
             b = rs.roots[si]
-            return b.invert() if b.excludes_zero() else None
+            return (b.invert() if sign > 0 else -b.invert()) if b.excludes_zero() else None
 
         value = derived_value(lambda: refine_until(inverse, rs.refine, "zero exclusion"), (rs,))
         return self.locate(value)
@@ -574,7 +577,7 @@ def _sorted_instances(spec: _Spectrum):
 
 def _window_product_is_one(spec: _Spectrum, window) -> bool:
     """True when the multiset of ranks certifiedly multiplies (in
-    modulus) to exactly 1: unit-circle roots plus mutually inverse pairs."""
+    modulus) to exactly 1: unit-circle roots plus pairs w = +-1/z."""
     remaining = list(window)
     while remaining:
         inst = remaining.pop()

@@ -281,6 +281,13 @@ def test_degrees_equal_modulus_pair():
     assert rep.salem_first is True
 
 
+def test_degrees_minus_inverse_partner():
+    # the roots phi and -1/phi of x^2-x-1 have inverse moduli, though
+    # 1/phi is no root, so lambda_0 = lambda_1 = 1 is still certified
+    rep = dynamical_degrees(companion(IntPoly.parse("-1,-1,1")), 1)
+    assert rep.exact_equalities == {(0, 1)}
+
+
 def test_degrees_salem_times_cyclotomic():
     rep = dynamical_degrees(companion(SALEM2 * PHI5), 3)
     assert rep.exact_equalities == {(0, 3), (1, 2)}
