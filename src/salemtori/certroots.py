@@ -934,7 +934,7 @@ class RootStore(dict):
 
     def __init__(self, systems=(), factored=()):
         super().__init__(systems)
-        self.factored = dict(factored)
+        self._factored = dict(factored)
 
     def __missing__(self, p: IntPoly) -> RootSystem:
         rs = self[p] = isolate_roots(p, Fraction(1, 1 << 24))
@@ -942,9 +942,9 @@ class RootStore(dict):
 
     def factors(self, p: IntPoly) -> FactorList:
         """factor_over_z(p), made once per store."""
-        if p not in self.factored:
-            self.factored[p] = factor_over_z(p)
-        return self.factored[p]
+        if p not in self._factored:
+            self._factored[p] = factor_over_z(p)
+        return self._factored[p]
 
 
 def _checked_level(m: int) -> int:
