@@ -18,6 +18,13 @@ exact invariants:
     and membership of G in each kernel is equivalent to the
     corresponding product of discriminants being a rational square.
 
+The sextic's discriminant is never computed.  With y = z + 1/z, a
+reciprocal pair {z, 1/z} contributes (z - 1/z)^2 = y^2 - 4 to disc(p),
+and the four differences between two pairs multiply to (y_k - y_l)^2, so
+disc(p) = disc(q)^2 q(2) q(-2) for the monic trace cubic q.  As q is
+irreducible, disc(q) is nonzero: disc(p) is a square exactly when
+q(2) q(-2) is, and disc(p) disc(q) exactly when disc(q) q(2) q(-2) is.
+
 All resolvents are certified: factor assignments go through disk
 matching against isolated roots, never through floating-point guesses.
 """
@@ -287,9 +294,9 @@ def galois_class(p, c_max: int = 100, precision_bits: int = 128) -> GaloisReport
     """Galois class of a special sextic among the five candidates.
 
     The group contains complex conjugation, and among the candidates that
-    do, the pair-orbit sizes and the square class of disc(p) disc(q) pick
-    exactly one (``candidate_groups`` checks that they separate them);
-    its order is |G|.  The product-one octet triples are checked against
+    do, the pair-orbit sizes and the square class of disc(p) disc(q), read
+    off the trace cubic, pick exactly one (``candidate_groups`` checks that
+    they separate them); its order is |G|.  The product-one octet triples are checked against
     the chosen candidate's octet orbits.
     """
     sx = SexticAnalysis.of(p)
@@ -299,10 +306,11 @@ def galois_class(p, c_max: int = 100, precision_bits: int = 128) -> GaloisReport
     if sum(orbit_sizes) != 15 or RECIPROCAL_BLOCK not in partition:
         raise VerificationFailed("pair orbits do not contain the reciprocal block")
 
-    disc_p, disc_q = discriminant(sx.poly), discriminant(cls.trace_poly)
-    in_mixed_kernel = _perfect_square(disc_p * disc_q)
+    q = cls.trace_poly
+    disc_q, edges = discriminant(q), q.evaluate(2) * q.evaluate(-2)
+    in_mixed_kernel = _perfect_square(disc_q * edges)
     square_classes = (
-        ("disc(p)", _perfect_square(disc_p)),
+        ("disc(p)", _perfect_square(edges)),
         ("disc(q)", _perfect_square(disc_q)),
         ("disc(p)disc(q)", in_mixed_kernel),
     )

@@ -26,8 +26,6 @@ from .exceptions import (
     VerificationFailed,
 )
 
-Rat = Fraction
-
 
 def _trim(cs):
     cs = list(cs)
@@ -384,74 +382,41 @@ def _pos_lc(p: IntPoly) -> IntPoly:
 
 
 # ---------------------------------------------------------------------------
-# rational-coefficient helpers (lists of Fractions, ascending, trimmed), for
-# resultant
-
-
-def _to_frac(p: IntPoly):
-    return [Fraction(c) for c in p.coeffs]
-
-
-def _ftrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _qdivmod(a, b):
-    a = _ftrim(list(a))
-    b = _ftrim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = a
-    inv = 1 / b[-1]
-    while r and len(r) >= len(b):
-        c = r[-1] * inv
-        d = len(r) - len(b)
-        q[d] = c
-        for i in range(len(b)):
-            r[d + i] -= c * b[i]
-        r = _ftrim(r)
-    return q, r
-
-
-# ---------------------------------------------------------------------------
 # resultants, discriminants, Sturm counting
 
 
 def resultant(p: IntPoly, q: IntPoly) -> int:
-    """Resultant via the Euclidean remainder sequence over QQ; exact."""
+    """Resultant by the subresultant pseudo-remainder sequence over ZZ
+    (G. E. Collins, J. ACM 14(1), 1967; W. S. Brown, J. F. Traub, J. ACM
+    18(4), 1971): each pseudo-remainder divides exactly by g h^delta, g the
+    leading coefficient of the previous divisor and h its subresultant
+    one, so every coefficient stays an integer."""
     if p.is_zero() or q.is_zero():
         return 0
-    a, b = _to_frac(p), _to_frac(q)
-    res = Fraction(1)
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        if db == 0:
-            res *= b[0] ** da
-            return _as_int(res)
-        _, r = _qdivmod(a, b)
+    if p.degree < q.degree:
+        return (-1) ** (p.degree * q.degree) * resultant(q, p)
+    a, b = list(p.coeffs), list(q.coeffs)
+    sign = g = h = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if len(a) % 2 == 0 and len(b) % 2 == 0:  # both degrees odd
+            sign = -sign
+        _, r = _pdivmod(a, b)
         if not r:
             return 0
-        dr = len(r) - 1
-        res *= Fraction((-1) ** (da * db)) * b[-1] ** (da - dr)
-        a, b = b, r
-
-
-def _as_int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise ArithmeticError("resultant must be an integer")
-    return int(x)
+        a, b = b, [c // (g * h**delta) for c in r]
+        g = a[-1]
+        h = g**delta // h ** (delta - 1) if delta else h
+    d = len(a) - 1
+    return sign * b[0] ** d // h ** max(d - 1, 0)
 
 
 def discriminant(p: IntPoly) -> int:
     if p.degree < 1:
         raise ConstantPolynomial(str(p))
     d = p.degree
-    r = resultant(p, p.derivative())
     sign = (-1) ** (d * (d - 1) // 2)
-    return _as_int(Fraction(sign * r, p.lc))
+    return sign * resultant(p, p.derivative()) // p.lc
 
 
 def _squarefree_mod(coeffs, ell: int) -> bool:

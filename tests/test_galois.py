@@ -11,6 +11,7 @@ from collections import Counter
 
 import pytest
 
+from salemtori import galois
 from salemtori.exceptions import NotSpecial
 from salemtori.galois import (
     ALL_PAIRS,
@@ -247,6 +248,21 @@ def test_sympy_order_oracle():
         assert rep.class_label == labels[rep.order]
         census[rep.class_label] += 1
     assert census == {"H6": 2, "G12": 4, "H24": 4, "G48": 40}
+
+
+def test_galois_class_reads_one_discriminant_of_the_trace_cubic(monkeypatch):
+    seen = []
+    discriminant = galois.discriminant
+
+    def counting(p):
+        seen.append(p)
+        return discriminant(p)
+
+    monkeypatch.setattr(galois, "discriminant", counting)
+    for p in (P1, P2, P3, P24):
+        seen.clear()
+        galois_class(p)
+        assert seen == [p.trace_polynomial()], str(p)
 
 
 def test_pair_orbit_partition_direct():

@@ -1,6 +1,6 @@
 """Property tests for the integer kernels of ``intpoly``.
 
-``gcd``, the exact divisions, Sturm counting, bisection, the extended
+``gcd``, the exact divisions, resultants, Sturm counting, bisection, the extended
 gcd and the factorizer's F_p[x] steps run on Python integers.  Each is
 checked against the form the library used before, kept below as the
 oracle: Euclid and division over ``Fraction``, Sturm chains and
@@ -27,11 +27,13 @@ from salemtori.exactlin import companion
 from salemtori.exceptions import EndpointIsRoot, InputError, NotCoprime, SalemtoriError
 from salemtori.intpoly import (
     IntPoly,
+    discriminant,
     ext_gcd_rational,
     exterior_resolvent,
     gcd,
     is_squarefree,
     real_root_enclosure,
+    resultant,
     squarefree_part,
     sturm_count,
 )
@@ -516,6 +518,10 @@ def test_kernels_build_no_fraction(monkeypatch):
     r.divides(r * r)
     (r * r + r.derivative()).divmod_exact(r)
     (r * r).div_exact(r)
+    assert discriminant(r) == 0  # the exterior square has repeated roots
+    assert resultant(r, r.derivative()) == 0
+    assert discriminant(IntPoly.parse("1,0,-3,-2,3,-6,-17,-6,3,-2,-3,0,1")) != 0
+    assert resultant(IntPoly.parse("3,-4,2"), IntPoly.parse("-1,5,0,7")) != 0
     assert made == []
     f = IntPoly.parse("-1,2,-3,1")
     assert sturm_count(f * f, -2, 5) == 1

@@ -9,8 +9,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from salemtori.exceptions import (
+    ConstantPolynomial,
     EndpointIsRoot,
     InputError,
     NotCoprime,
@@ -203,6 +206,46 @@ def test_resultant_vs_sylvester_determinant():
     # multiplicativity in the second argument
     f, g, h = P1, Q1, Q2
     assert resultant(f, g * h) == resultant(f, g) * resultant(f, h)
+
+
+def _sympy_resultant(a, b):
+    # sympy.resultant swaps inputs of rising degree without the sign
+    # (-1)^(deg a deg b), so the larger degree goes first
+    if a.is_zero() or b.is_zero():
+        return 0
+    if a.degree < b.degree:
+        return (-1) ** (a.degree * b.degree) * _sympy_resultant(b, a)
+    return int(sympy.resultant(to_sympy(a), to_sympy(b), T))
+
+
+def test_resultant_and_discriminant_vs_sympy():
+    rng = random.Random(505)
+    zero, two, three = IntPoly(()), IntPoly((2,)), IntPoly((-3,))
+    cases = [(zero, P1), (Q1, zero), (two, three), (two, Q1), (Q1, three), (P1, P1)]
+    for _ in range(40):
+        a = rand_poly(rng, rng.randint(0, 12), coeff=5)
+        b = rand_poly(rng, rng.randint(0, 12), coeff=5)
+        common = rand_poly(rng, rng.randint(1, 3), coeff=3)
+        cases += [(a, b), (a * common, b * common)]
+    for a, b in cases:
+        assert resultant(a, b) == _sympy_resultant(a, b), (str(a), str(b))
+        for f in (a, b):
+            if f.degree >= 1:
+                assert discriminant(f) == int(sympy.discriminant(to_sympy(f), T)), str(f)
+    assert resultant(P1 * Q1, Q1 * Q2) == 0
+    with pytest.raises(ConstantPolynomial):
+        discriminant(three)
+
+
+@given(st.lists(st.integers(-40, 40), min_size=3, max_size=3))
+def test_sextic_discriminant_from_trace_cubic(cs):
+    # x^3 q(x + 1/x) has discriminant disc(q)^2 q(2) q(-2), the identity
+    # galois_class reads its square classes from
+    q = IntPoly(tuple(cs) + (1,))
+    p = IntPoly.from_trace(q)
+    want = int(sympy.discriminant(to_sympy(p), T))
+    assert discriminant(p) == want
+    assert want == int(sympy.discriminant(to_sympy(q), T)) ** 2 * q.evaluate(2) * q.evaluate(-2)
 
 
 # ---- Sturm counting and enclosures ----
