@@ -13,7 +13,9 @@ algebra: the p-th dynamical degree is the spectral radius of the action on
 the 2p-th exterior power, i.e. the product of the 2p largest eigenvalue
 moduli.  Equalities between degrees are certified structurally: a window of
 ranks multiplies to exactly 1 when it splits into roots certified on the
-unit circle and pairs of roots z, w certified to have w = 1/z or -1/z.
+unit circle and pairs of roots z, w certified to have w = 1/z or -1/z,
+or when, besides those, it holds every root of an integer factor whose
+constant term and leading coefficient agree up to sign.
 """
 
 from __future__ import annotations
@@ -316,24 +318,29 @@ class SexticAnalysis:
         return frozenset(t for t, f in zip(OCTET_TRIPLES, owners) if f == _ONE_ROOT)
 
 
+_NOT_SALEM = SalemCertificate(False, None, None, None, None)
+
+
+def _salem_gates(f: IntPoly) -> bool:
+    return f.degree >= 2 and f.degree % 2 == 0 and f.is_monic() and f.is_reciprocal()
+
+
 def is_salem(p: IntPoly) -> SalemCertificate:
     """Salem test: monic, reciprocal, irreducible, even degree 2k, and the
     trace polynomial has exactly one real root above 2 and k-1 in (-2,2).
     Degree 2 is accepted."""
-    d = p.degree
-    gates = (
-        d >= 2
-        and d % 2 == 0
-        and p.is_monic()
-        and p.is_reciprocal()
-        and is_irreducible(p)
-    )
-    if not gates:
-        return SalemCertificate(False, None, None, None, None)
-    k = d // 2
-    q = p.trace_polynomial()
+    return _salem_test(p) if _salem_gates(p) and is_irreducible(p) else _NOT_SALEM
+
+
+def _salem_test(f: IntPoly) -> SalemCertificate:
+    """is_salem for an f already known to be irreducible: every gate but
+    irreducibility, then the trace-polynomial root counts."""
+    if not _salem_gates(f):
+        return _NOT_SALEM
+    k = f.degree // 2
+    q = f.trace_polynomial()
     bound = cauchy_bound(q) + 1
-    # q(2) = 0 would force p(1) = 0, impossible for irreducible p of
+    # q(2) = 0 would force f(1) = 0, impossible for irreducible f of
     # degree >= 2, so the endpoints are safe; no root of q lies above a
     # bound <= 2
     gt2 = sturm_count(q, 2, bound) if bound > 2 else 0
@@ -341,8 +348,8 @@ def is_salem(p: IntPoly) -> SalemCertificate:
     ok = gt2 == 1 and inside == k - 1
     lam = None
     if ok:
-        big = cauchy_bound(p) + 1
-        lam = real_root_enclosure(p, 1, big, Fraction(1, 1 << 64))
+        big = cauchy_bound(f) + 1
+        lam = real_root_enclosure(f, 1, big, Fraction(1, 1 << 64))
     return SalemCertificate(ok, q, gt2, inside, lam)
 
 
@@ -577,8 +584,23 @@ def _sorted_instances(spec: _Spectrum):
 
 def _window_product_is_one(spec: _Spectrum, window) -> bool:
     """True when the multiset of ranks certifiedly multiplies (in
-    modulus) to exactly 1: unit-circle roots plus pairs w = +-1/z."""
+    modulus) to exactly 1: unit-circle roots plus pairs w = +-1/z, or,
+    failing that, those plus complete root sets of factors f with
+    |f(0)| = |lc f|, whose roots multiply to modulus 1."""
+    if _pairs_to_one(spec, list(window)):
+        return True
     remaining = list(window)
+    for fi, (f, _m) in enumerate(spec.factors):
+        roots = [(fi, si) for si in range(f.degree)]
+        while abs(f[0]) == abs(f.lc) and all(r in remaining for r in roots):
+            for r in roots:
+                remaining.remove(r)
+    return len(remaining) < len(window) and _pairs_to_one(spec, remaining)
+
+
+def _pairs_to_one(spec: _Spectrum, remaining) -> bool:
+    """Whether the instances in remaining, a list consumed here, are
+    unit-circle roots and pairs w = +-1/z."""
     while remaining:
         inst = remaining.pop()
         if spec.is_eq1(*inst):
@@ -664,7 +686,7 @@ def _degree_report(spec: _Spectrum, n: int) -> DegreeReport:
 
 def _salem_first(spec: _Spectrum, order) -> bool:
     """Whether lambda_1 = |a| |b|, a and b the top two instances of order,
-    is a Salem number.  Each answer but lambda_1 = 1 is is_salem of a
+    is a Salem number.  Each answer but lambda_1 = 1 is the Salem test of a
     located minimal polynomial: of |a|^2 when b is a or its conjugate, of
     |a| when b lies on the unit circle, of |ab| when both are real, and
     otherwise of lambda_1^2.
@@ -673,12 +695,12 @@ def _salem_first(spec: _Spectrum, order) -> bool:
     if spec.is_eq1(*a):
         return False  # every modulus is 1, so lambda_1 = 1
     if b in (a, spec.conj_instance(*a)):
-        return is_salem(_modsq_root(spec, a)).is_salem
+        return _salem_test(_modsq_root(spec, a)).is_salem
     if spec.is_eq1(*b):
         # lambda_1 = |root_a|, root_a real (a nonreal one has its conjugate
         # sorted ahead of b), and its disk, narrower than 1, shows its sign
         f = spec.factor(a[0])
-        return is_salem(f.negate_variable() if spec.ball(*a).re < 0 else f).is_salem
+        return _salem_test(f.negate_variable() if spec.ball(*a).re < 0 else f).is_salem
     if spec.is_real(*a) and spec.is_real(*b):
         # product of two real eigenvalues: two roots of one factor, or one
         # root of each; take the modulus of the product
@@ -687,7 +709,7 @@ def _salem_first(spec: _Spectrum, order) -> bool:
         poly = exterior_resolvent(fa, 2) if a[0] == b[0] else composed_product(fa, fb)
         m = _min_poly_at(spec, poly, v)
         # an odd-degree m(-x) is not monic, and is not Salem either way
-        return is_salem(m.negate_variable() if v.ball.re - v.ball.rad < 0 else m).is_salem
+        return _salem_test(m.negate_variable() if v.ball.re - v.ball.rad < 0 else m).is_salem
     return _salem_first_squared(spec, a, b)
 
 
@@ -700,10 +722,10 @@ def _salem_first_squared(spec: _Spectrum, a, b) -> bool:
     insts = (a, spec.conj_instance(*a), b, spec.conj_instance(*b))
     v = derived_value(lambda: math.prod(spec.ball(*i) for i in insts), spec.systems_of(*insts))
     m = _min_poly_at(spec, composed_product(_modsq_root(spec, a), _modsq_root(spec, b)), v)
-    if not is_salem(m).is_salem:
+    if not _salem_test(m).is_salem:
         return False
     m_x2 = IntPoly(tuple(c for x in m.coeffs for c in (x, 0))[:-1])
-    return any(is_salem(g).is_salem for g, _mult in spec.store.factors(m_x2))
+    return any(_salem_test(g).is_salem for g, _mult in spec.store.factors(m_x2))
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ from .exceptions import (
     VerificationFailed,
 )
 from .galois import ALL_PAIRS, pair_orbit_partition
-from .intpoly import IntPoly, factor_over_z, is_irreducible
+from .intpoly import IntPoly, ext_gcd_rational, factor_over_z, is_irreducible
 from .salem import (
     SalemCertificate,
     SexticAnalysis,
@@ -239,8 +239,6 @@ def build_fibrations(action: IntMatrix) -> FibrationReport:
             base_dimension=lat.rank // 2,
         )
         return FibrationReport(exists=True, submodules=(comp,), bezout=None, route="kernel_of_power")
-
-    from .intpoly import ext_gcd_rational
 
     # m divides phi and both are monic, so equal degrees make them equal
     phi = m if m.degree == n2 else char_poly(action)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from salemtori import salem
+from salemtori import certroots, intpoly, salem
 from salemtori.exactlin import IntMatrix, char_poly, companion
 from salemtori.exceptions import (
     ClassificationRequired,
@@ -286,6 +286,50 @@ def test_degrees_minus_inverse_partner():
     # 1/phi is no root, so lambda_0 = lambda_1 = 1 is still certified
     rep = dynamical_degrees(companion(IntPoly.parse("-1,-1,1")), 1)
     assert rep.exact_equalities == {(0, 1)}
+
+
+def test_degrees_modulus_product_of_a_whole_factor():
+    # x^3-x-1 has a real root rho and a conjugate pair of modulus
+    # rho^(-1/2), none of them +-1/rho: only the complete root sets
+    # multiply to modulus 1, so lambda_0 = lambda_3 is certified that way
+    m = companion(IntPoly.parse("-1,-1,0,1"))
+    rep = dynamical_degrees(m.direct_sum(m), 3)
+    assert rep.exact_equalities == {(0, 3)}
+    assert rep.salem_first is False  # lambda_1 = rho^2, a Pisot number
+
+
+def test_salem_first_never_proves_a_factor_irreducible_again(monkeypatch):
+    tested, inside, leaks = [], [], []
+
+    def marking(fn):
+        def wrapped(f):
+            tested.append(f)
+            inside.append(f)
+            try:
+                return fn(f)
+            finally:
+                inside.pop()
+
+        return wrapped
+
+    def spy(name, fn):
+        def wrapped(p):
+            if inside:
+                leaks.append((name, str(p)))
+            return fn(p)
+
+        return wrapped
+
+    monkeypatch.setattr(salem, "_salem_test", marking(salem._salem_test))
+    monkeypatch.setattr(salem, "is_salem", marking(salem.is_salem))
+    monkeypatch.setattr(salem, "is_irreducible", spy("is_irreducible", is_irreducible))
+    for module in (intpoly, certroots, salem):
+        monkeypatch.setattr(module, "factor_over_z", spy("factor_over_z", factor_over_z))
+    # the two -top-blocks degrees goldens
+    for blocks, n in ((("1,-7,1", "1,0,7,0,1"), 3), (("1,0,7,0,1", "1,0,7,0,1"), 4)):
+        m = companion(IntPoly.parse(blocks[0])).direct_sum(companion(IntPoly.parse(blocks[1])))
+        assert dynamical_degrees(m, n).salem_first is True
+    assert tested and leaks == []
 
 
 def test_degrees_salem_times_cyclotomic():
