@@ -404,7 +404,8 @@ def resultant(p: IntPoly, q: IntPoly) -> int:
         _, r = _pdivmod(a, b)
         if not r:
             return 0
-        a, b = b, [c // (g * h**delta) for c in r]
+        div = g * h**delta
+        a, b = b, [c // div for c in r]
         g = a[-1]
         h = g**delta // h ** (delta - 1) if delta else h
     d = len(a) - 1

@@ -209,7 +209,7 @@ def test_resultant_vs_sylvester_determinant():
 
 
 def _sympy_resultant(a, b):
-    # sympy.resultant swaps inputs of rising degree without the sign
+    # for deg a < deg b sympy.resultant answers Res(b, a), without the sign
     # (-1)^(deg a deg b), so the larger degree goes first
     if a.is_zero() or b.is_zero():
         return 0
