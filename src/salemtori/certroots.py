@@ -839,12 +839,6 @@ def _modsq_radical(parts) -> IntPoly:
     return r.div_exact(poly_gcd(r, r.derivative()))
 
 
-def _modsq_interval(b: ComplexBall, scale=1):
-    """Rational [lo, hi] holding scale * |z|^2 for every z in the disk."""
-    lo, hi = b.modulus_interval()
-    return scale * lo * lo, scale * hi * hi
-
-
 def _same_root(s: IntPoly, intervals, refine, stage: str) -> bool:
     """Whether two real values, each a root of the squarefree s, are equal.
     intervals() gives a rational [lo, hi] around each; refine() narrows
@@ -881,6 +875,31 @@ def _same_root(s: IntPoly, intervals, refine, stage: str) -> bool:
         return None
 
     return refine_until(decide, refine, stage)
+
+
+def _compare_moduli(intervals, radical, refine, scale=1) -> int:
+    """-1 / 0 / +1 comparing two moduli, exact.  intervals() gives a
+    rational [lo, hi] around each modulus; refine() narrows them.  Moduli
+    still overlapping after six rounds may be equal: they are when both
+    scale * |z|^2 are one root of the squarefree radical()."""
+    rounds = itertools.count()
+
+    def decide():
+        (lo_a, hi_a), (lo_b, hi_b) = intervals()
+        if hi_a < lo_b:
+            return -1
+        if hi_b < lo_a:
+            return 1
+        if next(rounds) == 6 and _same_root(
+            radical(),
+            lambda: [(scale * lo * lo, scale * hi * hi) for lo, hi in intervals()],
+            refine,
+            "modulus order",
+        ):
+            return 0
+        return None
+
+    return refine_until(decide, refine, "modulus order")
 
 
 # ---------------------------------------------------------------------------
@@ -1106,32 +1125,15 @@ def _root_comparison(p, state, conj, classes):
             intervals[i] = (b, b.modulus_interval())
         return intervals[i][1]
 
-    def equal_moduli(i, j):
-        kinds = frozenset(conj[k] == k for k in (i, j))
-        if kinds not in radicals:
-            radicals[kinds] = _modsq_radical((p, real) for real in sorted(kinds))
-        scale = p.lc * p.lc
-        return _same_root(
-            radicals[kinds],
-            lambda: [_modsq_interval(state.balls[k], scale) for k in (i, j)],
-            refine,
-            "modulus equality",
-        )
-
     def by_modulus(i, j):
-        rounds = itertools.count()
+        kinds = frozenset(conj[k] == k for k in (i, j))
 
-        def decide():
-            (lo_i, hi_i), (lo_j, hi_j) = modulus(i), modulus(j)
-            if hi_i < lo_j:
-                return -1
-            if hi_j < lo_i:
-                return 1
-            if next(rounds) == 6 and equal_moduli(i, j):
-                return 0
-            return None
+        def radical():
+            if kinds not in radicals:
+                radicals[kinds] = _modsq_radical((p, real) for real in sorted(kinds))
+            return radicals[kinds]
 
-        return refine_until(decide, refine, "modulus order")
+        return _compare_moduli(lambda: (modulus(i), modulus(j)), radical, refine, p.lc * p.lc)
 
     def by_real_part(i, j):
         def decide():

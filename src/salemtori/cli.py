@@ -55,7 +55,7 @@ from .torus import (
     standard_construction,
 )
 
-_SCHEMA = "salemtori-report/2"
+_SCHEMA = "salemtori-report/3"
 
 # errors caused by what the user passed in, as opposed to a failed internal
 # certificate; they map to exit code 2
@@ -132,7 +132,7 @@ def _cmd_classify(args):
 
 def _cmd_galois(args):
     p = IntPoly.parse(args.poly)
-    rep = galois_class(p, c_max=args.c_max, precision_bits=args.precision_bits)
+    rep = galois_class(p, c_max=args.c_max)
     results = {
         "class": rep.class_label,
         "order": rep.order,
@@ -174,15 +174,13 @@ def _cmd_picard(args):
     p = IntPoly.parse(args.poly)
     if args.triple is not None:
         triple = _parse_triple(args.triple)
-        model = standard_construction(p, triple, precision_bits=args.precision_bits)
-        rep = picard_number(model, c_max=args.c_max, precision_bits=args.precision_bits)
+        model = standard_construction(p, triple)
+        rep = picard_number(model, c_max=args.c_max)
         rows = [_picard_row(model.triple, model.ap_flag, rep, detailed=True)]
     else:
         rows = [
             _picard_row(triple, flag, rep, detailed=False)
-            for triple, flag, rep in picard_table(
-                p, c_max=args.c_max, precision_bits=args.precision_bits
-            )
+            for triple, flag, rep in picard_table(p, c_max=args.c_max)
         ]
     return {"poly": p.format()}, {"triples": rows}, None
 
@@ -278,7 +276,7 @@ def _log_concave(lambdas, equalities) -> bool:
 def _sweep_row(trace_poly, sx, args):
     failed = []
     deg = sx.degrees
-    table = picard_table(sx, c_max=args.c_max, precision_bits=args.precision_bits)
+    table = picard_table(sx, c_max=args.c_max)
     rho_values = sorted({rep.rho for _t, _f, rep in table})
     if "irreducible" in sx.classification.failed():  # then a fibration exists
         failed += ["irreducible", "no-fibration"]
@@ -342,8 +340,8 @@ def _verify_row_grouped(poly_text, expected, args):
     """Expected vs computed for a sextic whose product-one triples (and,
     when listed, the remaining ones) have a single known Picard value."""
     sx = SexticAnalysis(IntPoly.parse(poly_text))
-    rep = galois_class(sx, c_max=args.c_max, precision_bits=args.precision_bits)
-    table = picard_table(sx, c_max=args.c_max, precision_bits=args.precision_bits)
+    rep = galois_class(sx, c_max=args.c_max)
+    table = picard_table(sx, c_max=args.c_max)
     computed = {
         "class": rep.class_label,
         "order": rep.order,
@@ -362,8 +360,8 @@ def _verify_row_grouped(poly_text, expected, args):
 def _verify_row_triple(poly_text, triple, expected, args):
     """Expected vs computed for a sextic at one construction triple."""
     sx = SexticAnalysis(IntPoly.parse(poly_text))
-    rep = galois_class(sx, c_max=args.c_max, precision_bits=args.precision_bits)
-    table = picard_table(sx, c_max=args.c_max, precision_bits=args.precision_bits)
+    rep = galois_class(sx, c_max=args.c_max)
+    table = picard_table(sx, c_max=args.c_max)
     by_triple = {t: r for t, _f, r in table}
     pic = by_triple[triple]
     computed = {
@@ -472,17 +470,6 @@ def _add_common(parser):
         help="output rendering (default json)",
     )
     parser.add_argument(
-        "--precision-bits",
-        type=int,
-        dest="precision_bits",
-        default=argparse.SUPPRESS,
-        help=(
-            "root radius 2^-max(24, bits) reached before pair orbits are "
-            "matched in galois, picard, sweep and verify-examples; other "
-            "commands ignore it (default 128)"
-        ),
-    )
-    parser.add_argument(
         "--a-max",
         type=int,
         dest="a_max",
@@ -506,7 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "and the complex 3-torus automorphisms built from them."
         ),
     )
-    parser.set_defaults(format="json", precision_bits=128, a_max=10000, c_max=100)
+    parser.set_defaults(format="json", a_max=10000, c_max=100)
     _add_common(parser)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
@@ -574,11 +561,7 @@ def _document(args, echo, results, error):
         "schema": _SCHEMA,
         "tool": {"name": "salemtori", "version": __version__},
         "command": args.command,
-        "settings": {
-            "precision_bits": args.precision_bits,
-            "a_max": args.a_max,
-            "c_max": args.c_max,
-        },
+        "settings": {"a_max": args.a_max, "c_max": args.c_max},
         "input": echo,
         "results": results,
     }

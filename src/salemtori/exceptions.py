@@ -51,7 +51,8 @@ class NotSquarefree(SalemtoriError):
 
 
 class PrecisionExhausted(SalemtoriError):
-    """Certification failed below the configured minimum precision."""
+    """A decision still open after refine_until's _MAX_ROUNDS rounds, or
+    an isolation that reached the _MAX_PREC bit cap."""
 
 
 class Ambiguous(SalemtoriError):

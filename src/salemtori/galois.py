@@ -273,9 +273,9 @@ def _perfect_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
 
 
-def pair_orbit_partition(p, c_max: int = 100, precision_bits: int = 128):
+def pair_orbit_partition(p, c_max: int = 100):
     """Galois orbit partition of the 15 unordered root-index pairs."""
-    partition, _route = SexticAnalysis.of(p).pair_orbits(c_max, precision_bits)
+    partition, _route = SexticAnalysis.of(p).pair_orbits(c_max)
     return partition
 
 
@@ -290,7 +290,7 @@ def octet_data(p):
     return t8, OCTET_TRIPLES, owners
 
 
-def galois_class(p, c_max: int = 100, precision_bits: int = 128) -> GaloisReport:
+def galois_class(p, c_max: int = 100) -> GaloisReport:
     """Galois class of a special sextic among the five candidates.
 
     The group contains complex conjugation, and among the candidates that
@@ -301,7 +301,7 @@ def galois_class(p, c_max: int = 100, precision_bits: int = 128) -> GaloisReport
     """
     sx = SexticAnalysis.of(p)
     cls = sx.require_special()
-    partition, pair_used = sx.pair_orbits(c_max, precision_bits)
+    partition, pair_used = sx.pair_orbits(c_max)
     orbit_sizes = tuple(sorted(len(o) for o in partition))
     if sum(orbit_sizes) != 15 or RECIPROCAL_BLOCK not in partition:
         raise VerificationFailed("pair orbits do not contain the reciprocal block")

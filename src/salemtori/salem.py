@@ -32,10 +32,9 @@ from .certroots import (
     FactorRoots,
     RootStore,
     RootSystem,
-    _modsq_interval,
+    _compare_moduli,
     _modsq_radical,
     _modsq_resolvent,
-    _same_root,
     certify_value_match,
     derived_value,
     isolate_roots,
@@ -218,10 +217,6 @@ class SexticAnalysis:
         seeds = ({p: cls.roots}, {p: FactorList(Fraction(1), ((p, 1),))}) if cls.is_special else ()
         return RootStore(*seeds)
 
-    def refine_to_bits(self, precision_bits: int):
-        """Make the root radius at most 2^-max(24, precision_bits)."""
-        self.roots.refine(Fraction(1, 1 << max(24, precision_bits)))
-
     def pair_value(self, i, j, c=0) -> CertValue:
         """root_i * root_j + c * (root_i + root_j), shrinkable."""
 
@@ -260,7 +255,7 @@ class SexticAnalysis:
         values = [self.pair_value(i, j) for i, j in ALL_PAIRS]
         return certify_value_match(values, self.wedge2_factors, self.store)
 
-    def pair_orbits(self, c_max: int = 100, precision_bits: int = 128):
+    def pair_orbits(self, c_max: int = 100):
         """(partition, route): the Galois orbit partition of the 15 pairs
         and the resolvent that found it.
 
@@ -271,7 +266,6 @@ class SexticAnalysis:
         c that makes the resolvent squarefree.
         """
         if self._pair_orbits is None:
-            self.refine_to_bits(precision_bits)
             self._pair_orbits = self._find_pair_orbits(c_max)
         if self._pair_orbits[1][1] > c_max:
             raise CollisionUnresolved(f"no shift c <= {c_max} separates the pair values")
@@ -440,6 +434,7 @@ class _Spectrum(FactorRoots):
 
     def __init__(self, chi: IntPoly, store: RootStore):
         super().__init__(store.factors(chi), store)
+        self._radicals = {}
 
     def instances(self):
         out = []
@@ -473,6 +468,14 @@ class _Spectrum(FactorRoots):
             return self.ball(*a) * self.ball(*b)
 
         return derived_value(current, self.systems_of(a, b), tag=(a, b))
+
+    def modsq_radical(self, a, b) -> IntPoly:
+        """The tie radical of the (monic) factors at instances a and b,
+        built once per set of (factor, real) parts."""
+        parts = frozenset((self.factor(x[0]), self.is_real(*x)) for x in (a, b))
+        if parts not in self._radicals:
+            self._radicals[parts] = _modsq_radical(parts)
+        return self._radicals[parts]
 
     def conj_instance(self, fi, si):
         return (fi, self.systems[fi].conj[si])
@@ -518,20 +521,6 @@ def _modsq_root(spec: _Spectrum, inst) -> IntPoly:
     return _min_poly_at(spec, _modsq_resolvent(spec.factor(inst[0]), spec.is_real(*inst)), v)
 
 
-def _equal_modsq(spec: _Spectrum, a, b) -> bool:
-    """Exact decision |root_a| == |root_b|: both modulus squares are roots
-    of one resolvent of the (monic) factors, located at the same root."""
-    s = _modsq_radical({(spec.factor(x[0]), spec.is_real(*x)) for x in (a, b)})
-
-    def refine():
-        for rs in spec.systems_of(a, b):
-            rs.refine()
-
-    return _same_root(
-        s, lambda: [_modsq_interval(spec.ball(*x)) for x in (a, b)], refine, "modulus equality"
-    )
-
-
 def _cmp_moduli(spec: _Spectrum, a, b) -> int:
     """-1 / 0 / +1 comparing eigenvalue moduli, exact."""
     if a == b:
@@ -545,25 +534,16 @@ def _cmp_moduli(spec: _Spectrum, a, b) -> int:
         return -1 if ca == "lt1" else 1
     if spec.conj_instance(*a) == b:
         return 0  # conjugate roots share modulus
-    rounds = itertools.count()
-
-    def decide():
-        lo_a, hi_a = spec.ball(*a).modulus_interval()
-        lo_b, hi_b = spec.ball(*b).modulus_interval()
-        if hi_a < lo_b:
-            return -1
-        if hi_b < lo_a:
-            return 1
-        # moduli still overlapping after six rounds may be equal
-        if next(rounds) == 6 and _equal_modsq(spec, a, b):
-            return 0
-        return None
 
     def refine():
         for rs in spec.systems_of(a, b):
             rs.refine()
 
-    return refine_until(decide, refine, "modulus comparison")
+    return _compare_moduli(
+        lambda: [spec.ball(*x).modulus_interval() for x in (a, b)],
+        lambda: spec.modsq_radical(a, b),
+        refine,
+    )
 
 
 def _sorted_instances(spec: _Spectrum):

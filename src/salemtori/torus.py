@@ -130,7 +130,7 @@ def _check_admissible(triple):
     return t
 
 
-def standard_construction(p, triple, precision_bits: int = 128) -> TorusModel:
+def standard_construction(p, triple) -> TorusModel:
     """The torus model with lattice ZZ^6, action the companion matrix of
     p, and complex structure selecting the triple's roots as holomorphic
     eigenvalues.  The model keeps the sextic's analysis, so
@@ -138,7 +138,6 @@ def standard_construction(p, triple, precision_bits: int = 128) -> TorusModel:
     sx = SexticAnalysis.of(p)
     sx.require_special()
     t = _check_admissible(triple)
-    sx.refine_to_bits(precision_bits)
     return TorusModel(
         poly=sx.poly,
         action=companion(sx.poly),
@@ -165,7 +164,7 @@ def _picard_from_partition(partition, triple) -> PicardReport:
     return PicardReport(rho=rho, ns_orbits=ns, hodge_types=types, projective=rho == 9)
 
 
-def picard_number(model: TorusModel, c_max: int = 100, precision_bits: int = 128) -> PicardReport:
+def picard_number(model: TorusModel, c_max: int = 100) -> PicardReport:
     """Neron-Severi rank of the model.
 
     A Galois orbit of wedge classes spans a rational subspace; it lies
@@ -174,15 +173,15 @@ def picard_number(model: TorusModel, c_max: int = 100, precision_bits: int = 128
     eigenvalue-1 classes correctly: the three reciprocal pairs form one
     orbit, contributing 3 when all three are (1,1) and 0 otherwise.
     """
-    partition = pair_orbit_partition(model.analysis, c_max, precision_bits)
+    partition = pair_orbit_partition(model.analysis, c_max)
     return _picard_from_partition(partition, model.triple)
 
 
-def picard_table(p, c_max: int = 100, precision_bits: int = 128):
+def picard_table(p, c_max: int = 100):
     """Picard reports for all 8 admissible triples, sharing one orbit
     computation.  Returns ((triple, ap_flag, PicardReport), ...)."""
     sx = SexticAnalysis.of(p)
-    partition = pair_orbit_partition(sx, c_max, precision_bits)
+    partition = pair_orbit_partition(sx, c_max)
     return tuple(
         (t, flag, _picard_from_partition(partition, t))
         for t, flag in admissible_triples(sx)

@@ -121,7 +121,7 @@ def test_sweep_row_isolates_no_polynomial_twice(monkeypatch):
 
     for module in (certroots, salem, galois, torus):
         monkeypatch.setattr(module, "isolate_roots", counting_isolate, raising=False)
-    args = argparse.Namespace(c_max=100, precision_bits=128)
+    args = argparse.Namespace(c_max=100)
     rows = 0
     # counting starts with the classification enumerate_special hands over
     for q, p, cls in salem.enumerate_special(1):
@@ -143,7 +143,7 @@ def test_sweep_row_factors_no_polynomial_twice(monkeypatch):
 
     for module in (intpoly, certroots, salem, galois, torus):
         monkeypatch.setattr(module, "factor_over_z", counting_factor, raising=False)
-    args = argparse.Namespace(c_max=100, precision_bits=128)
+    args = argparse.Namespace(c_max=100)
     rows = 0
     # the classification enumerate_special hands over has factored the
     # sextic once; the row reads its verdict and factors it no more
@@ -159,15 +159,13 @@ def test_sweep_row_factors_no_polynomial_twice(monkeypatch):
 def test_roots_refine_monotonically():
     sx = SexticAnalysis(P1)
     assert sx.roots.eps == Fraction(1, 1 << 24)
-    sx.refine_to_bits(128)
+    sx.roots.refine(Fraction(1, 1 << 128))
     fine = sx.roots.roots
     assert sx.roots.eps == Fraction(1, 1 << 128)
-    sx.refine_to_bits(64)  # coarser request: the finer roots stay
+    sx.roots.refine(Fraction(1, 1 << 64))  # coarser request: the finer roots stay
     assert sx.roots.roots is fine
     assert sx.roots.eps == Fraction(1, 1 << 128)
     assert sx.roots.labeling == "special-canonical"
-    galois.pair_orbit_partition(sx, precision_bits=200)
-    assert sx.roots.eps <= Fraction(1, 1 << 200)
 
 
 def test_plain_pair_route_needs_no_shift():

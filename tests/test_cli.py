@@ -67,11 +67,11 @@ def verify_doc():
 
 def test_envelope_fields(capsys):
     doc = run_json(capsys, ["classify", P1])
-    assert doc["schema"] == "salemtori-report/2"
+    assert doc["schema"] == "salemtori-report/3"
     assert doc["tool"]["name"] == "salemtori"
     assert doc["tool"]["version"]
     assert doc["command"] == "classify"
-    assert doc["settings"] == {"precision_bits": 128, "a_max": 10000, "c_max": 100}
+    assert doc["settings"] == {"a_max": 10000, "c_max": 100}
     assert doc["input"] == {"poly": P1}
     assert "error" not in doc
 
@@ -238,15 +238,19 @@ def test_byte_determinism(capsys):
 def test_text_format(capsys):
     out = run_cli(capsys, ["classify", P1, "--format", "text"])
     assert "is_special: true" in out
-    assert "schema: salemtori-report/2" in out
+    assert "schema: salemtori-report/3" in out
     assert "trace_poly: -1,2,3,1" in out
 
 
 def test_settings_flags_respected(capsys):
     doc = run_json(capsys, ["galois", P1, "--c-max", "17"])
     assert doc["settings"]["c_max"] == 17
-    doc = run_json(capsys, ["--precision-bits", "64", "classify", P1])
-    assert doc["settings"]["precision_bits"] == 64
+    doc = run_json(capsys, ["--a-max", "64", "classify", P1])
+    assert doc["settings"]["a_max"] == 64
+    # root refinement follows each decision, so there is no precision flag
+    with pytest.raises(SystemExit) as info:
+        main(["--precision-bits", "64", "classify", P1])
+    assert info.value.code == 2
 
 
 def test_exit_code_input_errors(capsys):
@@ -284,7 +288,7 @@ from salemtori.salem import SexticAnalysis, dynamical_degrees, enumerate_special
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["verify-examples"]) == 0
 trace, p, cls = next(iter(enumerate_special(1)))
-row, failed = cli._sweep_row(trace, SexticAnalysis(p, cls), Namespace(c_max=100, precision_bits=128))
+row, failed = cli._sweep_row(trace, SexticAnalysis(p, cls), Namespace(c_max=100))
 assert row["ok"] and not failed
 # no float holds 10^400, so this spectrum is isolated by the fixed-point sweeps
 fallbacks = []

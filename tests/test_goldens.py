@@ -15,7 +15,10 @@ eigenvalue lookups went through one shared root store.  The two
 division and gcds moved from ``Fraction`` arithmetic to integers.  The
 two ``-top-blocks`` ``degrees`` goldens were produced by this runner
 while the first-degree Salem test still left their top-two-moduli cases
-undecided; deciding them flipped their ``salem_first`` to true.
+undecided; deciding them flipped their ``salem_first`` to true.  All
+fifteen were regenerated by this runner when the ``--precision-bits``
+setting was deleted; only ``schema`` (``salemtori-report/2`` to
+``/3``) and the removed ``settings.precision_bits`` changed.
 
 Regenerate (only when a change of output is intended and recorded):
 

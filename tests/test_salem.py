@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -544,3 +545,71 @@ def test_salem_first_square_salem_but_first_degree_not():
     lo, hi = rep.lambdas[1]
     assert (2 * lo - 11) ** 2 < 125 < (2 * hi - 11) ** 2
     assert rep.salem_first is False
+
+
+# ---- one exact modulus comparator ----
+
+# three roots of modulus tau^2 (tau the golden ratio) in two factors
+EQUAL_MODULI = companion(SALEM2).direct_sum(companion(IntPoly.parse("1,0,7,0,1")))
+# degree-12 wedge-square factors whose lt1 and gt1 classes each hold two
+# conjugate pairs of one modulus
+TIED_FACTORS = ("1,0,-3,-2,3,-6,-17,-6,3,-2,-3,0,1", "1,0,-5,0,7,-6,-17,-6,7,0,-5,0,1")
+
+
+def mp_moduli(spec):
+    """60-digit modulus of each spectrum instance's root."""
+    out = {}
+    with mpmath.workdps(60):
+        for fi, (f, _m) in enumerate(spec.factors):
+            roots = mpmath.polyroots(list(reversed(f.coeffs)), maxsteps=200, extraprec=200)
+            for si in range(f.degree):
+                b = spec.ball(fi, si)
+                center = mpmath.mpc(
+                    mpmath.mpf(b.re.numerator) / b.re.denominator,
+                    mpmath.mpf(b.im.numerator) / b.im.denominator,
+                )
+                z = min(roots, key=lambda r: abs(r - center))
+                assert abs(z - center) < mpmath.mpf(2) ** -20
+                out[fi, si] = abs(z)
+    return out
+
+
+@pytest.mark.parametrize(
+    "matrix,n",
+    [(EQUAL_MODULI, 3), (companion(IntPoly.parse(TIED_FACTORS[0])), 6)],
+    ids=["equal-moduli-blocks", "tied-factor"],
+)
+def test_cmp_moduli_matches_mpmath_moduli(matrix, n):
+    spec = dynamical_degrees(matrix, n).spectrum
+    moduli = mp_moduli(spec)
+    insts = spec.instances()
+    ties = 0
+    with mpmath.workdps(60):
+        for a in insts:
+            for b in insts:
+                c = salem._cmp_moduli(spec, a, b)
+                diff = moduli[a] - moduli[b]
+                if abs(diff) < mpmath.mpf(10) ** -50:
+                    assert c == 0, (a, b)
+                    ties += spec.conj_instance(*a) not in (a, b)
+                else:
+                    assert c == (1 if diff > 0 else -1), (a, b)
+    # some ties are between roots that are not conjugate, so the exact
+    # resolvent decides them
+    assert ties
+
+
+@pytest.mark.parametrize("text", TIED_FACTORS)
+def test_spectrum_builds_each_tie_radical_once(monkeypatch, text):
+    built = Counter()
+    build = salem._modsq_radical
+
+    def counting(parts):
+        parts = frozenset(parts)
+        built[parts] += 1
+        return build(parts)
+
+    monkeypatch.setattr(salem, "_modsq_radical", counting)
+    rep = dynamical_degrees(companion(IntPoly.parse(text)), 6)
+    assert rep.exact_equalities == {(0, 6), (1, 5), (2, 4)}
+    assert built and max(built.values()) == 1
