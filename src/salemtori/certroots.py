@@ -535,19 +535,46 @@ def _newton(desc, ddesc, pts, prec):
     return out
 
 
+def _polygon_start(p: IntPoly):
+    """Bini's start for Aberth sweeps in floats (D. A. Bini, Numer.
+    Algorithms 13, 1996): a point at 0 for each root there, and for each
+    edge (i, j) of the upper convex hull of the points (k, log|a_k|),
+    j - i points on a circle about which the moduli of j - i roots
+    cluster, of radius (|a_i| / |a_j|)^(1 / (j - i)).  The circles'
+    angles are offset by 2 pi / n per edge and by 0.7, so no point is
+    real.  Every radius is taken 0.9 times: a self-reciprocal
+    polynomial's middle edge gives the unit circle, and from points on it
+    the sweeps of a Salem polynomial such as x^4 - x^3 - x^2 - x + 1 need
+    38, against 7 from inside it.  OverflowError when a radius does not
+    fit a float."""
+    n = p.degree
+    pts = [(k, math.log(abs(c))) for k, c in enumerate(p.coeffs) if c]
+    hull = []
+    for q in pts:
+        # drop the last vertex while it lies on or below the chord to q
+        while len(hull) > 1 and (
+            (hull[-1][0] - hull[-2][0]) * (q[1] - hull[-2][1])
+            >= (hull[-1][1] - hull[-2][1]) * (q[0] - hull[-2][0])
+        ):
+            hull.pop()
+        hull.append(q)
+    start = [0j] * pts[0][0]
+    for e, ((i, a), (j, b)) in enumerate(zip(hull, hull[1:])):
+        r, m = 0.9 * math.exp((a - b) / (j - i)), j - i
+        start += [r * cmath.exp(2j * math.pi * (k / m + e / n) + 0.7j) for k in range(m)]
+    return start
+
+
 def _float_seed(p: IntPoly):
     """Approximate roots from Aberth sweeps in hardware floats, started
-    from a circle of radius 0.7 cauchy_bound(p); None on overflow, a
-    non-finite value, a zero derivative, coincident approximations or no
-    convergence."""
+    from _polygon_start(p); None on overflow, a non-finite value, a zero
+    derivative, coincident approximations or no convergence."""
     n = p.degree
     desc = [p.coeffs[-1 - i] for i in range(n + 1)]
     try:
         fp = [float(c) for c in desc]
         fdp = [float(c * (n - i)) for i, c in enumerate(desc[:-1])]
-        r = 0.7 * float(cauchy_bound(p))
-        start = [r * cmath.exp(2j * cmath.pi * (k + 0.354) / n) for k in range(n)]
-        zs, converged = _aberth(fp, fdp, start, 1e-13, None, _START_SWEEPS)
+        zs, converged = _aberth(fp, fdp, _polygon_start(p), 1e-13, None, _START_SWEEPS)
     except OverflowError:
         return None
     if not converged or not all(cmath.isfinite(z) for z in zs):
@@ -877,11 +904,14 @@ def _same_root(s: IntPoly, intervals, refine, stage: str) -> bool:
     return refine_until(decide, refine, stage)
 
 
-def _compare_moduli(intervals, radical, refine, scale=1) -> int:
+def _compare_moduli(intervals, radical, refine, scale=1, narrow=None) -> int:
     """-1 / 0 / +1 comparing two moduli, exact.  intervals() gives a
-    rational [lo, hi] around each modulus; refine() narrows them.  Moduli
-    still overlapping after six rounds may be equal: they are when both
-    scale * |z|^2 are one root of the squarefree radical()."""
+    rational [lo, hi] around each modulus; refine() may narrow them, on a
+    schedule of its own.  Moduli still overlapping after six rounds may be
+    equal: they are when both scale * |z|^2 are one root of the squarefree
+    radical(), which the tie test decides, calling narrow() (by default
+    refine()) between its rounds.  narrow() must narrow the intervals on
+    every call, or the tie test spends its rounds on no-ops."""
     rounds = itertools.count()
 
     def decide():
@@ -893,7 +923,7 @@ def _compare_moduli(intervals, radical, refine, scale=1) -> int:
         if next(rounds) == 6 and _same_root(
             radical(),
             lambda: [(scale * lo * lo, scale * hi * hi) for lo, hi in intervals()],
-            refine,
+            narrow or refine,
             "modulus order",
         ):
             return 0
@@ -1119,6 +1149,12 @@ def _root_comparison(p, state, conj, classes):
         level += 1
         state.ensure(Fraction(1, 1 << level))
 
+    def narrow():
+        # one bit below the widest disk: refine() does nothing while the
+        # disks are finer than 2^-level, and raising level on every round
+        # would double the precision on every comparison
+        state.ensure(max(b.rad for b in state.balls) / 2)
+
     def modulus(i):
         b = state.balls[i]
         if intervals.get(i, (None,))[0] is not b:
@@ -1133,7 +1169,9 @@ def _root_comparison(p, state, conj, classes):
                 radicals[kinds] = _modsq_radical((p, real) for real in sorted(kinds))
             return radicals[kinds]
 
-        return _compare_moduli(lambda: (modulus(i), modulus(j)), radical, refine, p.lc * p.lc)
+        return _compare_moduli(
+            lambda: (modulus(i), modulus(j)), radical, refine, p.lc * p.lc, narrow
+        )
 
     def by_real_part(i, j):
         def decide():

@@ -27,7 +27,7 @@ from salemtori.exceptions import (
     PrecisionExhausted,
     VerificationFailed,
 )
-from salemtori.intpoly import IntPoly, factor_over_z, is_squarefree
+from salemtori.intpoly import IntPoly, exterior_resolvent, factor_over_z, is_squarefree
 from salemtori.salem import enumerate_special
 from wedge import wedge_power
 
@@ -283,6 +283,73 @@ def test_overflowing_coefficients_fall_back_to_circle_start():
     assert abs(rs.roots[1 - big].re) < Fraction(1, 1 << 20)
 
 
+def _isolations_agree(p, monkeypatch):
+    """Isolate p from its float seeds and again from the fixed-point
+    circle start, and check that both present the same roots."""
+    seeded = _public(isolate_roots(p, Fraction(1, 1 << 24)))
+    with monkeypatch.context() as m:
+        m.setattr(certroots, "_float_seed", lambda p: None)
+        assert _public(isolate_roots(p, Fraction(1, 1 << 24))) == seeded
+
+
+@pytest.mark.parametrize(
+    "text,zeros,radii",
+    [
+        # x (x^2 - 3x + 1): one point at 0, then the hull of 1, -3x, x^2
+        ("0,1,-3,1", 1, [(1 / 3, 1), (3, 1)]),
+        # x^7 - 2: one edge
+        ("-2,0,0,0,0,0,0,1", 0, [(2 ** (1 / 7), 7)]),
+        # x^7 - 3x^2 + 1: zero middle coefficients, two edges
+        ("1,0,-3,0,0,0,0,1", 0, [(3 ** -0.5, 2), (3**0.2, 5)]),
+    ],
+    ids=["root-at-zero", "one-edge", "zero-middle"],
+)
+def test_polygon_start_edge_cases(text, zeros, radii, monkeypatch):
+    p = IntPoly.parse(text)
+    start = certroots._polygon_start(p)
+    assert len(start) == p.degree
+    assert start[:zeros] == [0j] * zeros
+    k = zeros
+    for r, m in radii:
+        # m points on the circle of 0.9 times the edge's radius, none real
+        for z in start[k : k + m]:
+            assert abs(abs(z) - 0.9 * r) < 1e-12 and z.imag != 0
+        k += m
+    assert certroots._float_seed(p) is not None
+    _isolations_agree(p, monkeypatch)
+
+
+def test_float_seed_overflow_falls_back(monkeypatch):
+    # (2^1100 x - 1)(x^2 + 1): no float holds the leading coefficient
+    p = IntPoly((-1, 1 << 1100)) * IntPoly.parse("1,0,1")
+    assert certroots._float_seed(p) is None
+    rs = isolate_roots(p, Fraction(1, 1 << 24))
+    tiny = rs.modulus_class.index("lt1")
+    assert rs.roots[tiny].contains_point(Fraction(1, 1 << 1100))
+    # x (2^70000 x - 1) overflows at once; its isolation ends at the bit
+    # cap (test_precision_cap_names_stage_bits_and_size)
+    assert certroots._float_seed(IntPoly((0, -1, 1 << 70000))) is None
+
+
+def test_polygon_start_sweeps_on_wedge_factors():
+    # the degree-12 wedge-square factors of the bound-2 special sextics
+    # need 34 sweeps on average, 44 at most, from a circle of radius
+    # 0.7 cauchy_bound
+    factors = {
+        f
+        for _t, p, _c in enumerate_special(2)
+        for f, _m in factor_over_z(exterior_resolvent(p, 2))
+        if f.degree == 12
+    }
+    assert len(factors) > 10
+    for f in factors:
+        desc = f.coeffs[::-1]
+        fp = [float(c) for c in desc]
+        fdp = [float(c * (12 - i)) for i, c in enumerate(desc[:-1])]
+        _zs, converged = certroots._aberth(fp, fdp, certroots._polygon_start(f), 1e-13, None, 15)
+        assert converged, str(f)
+
+
 @pytest.mark.parametrize("n,a", [(7, 10), (9, 30)])
 def test_mignotte_cluster_certifies(n, a):
     # x^n - 2(ax - 1)^2 has two real roots about a^-(n/2 + 1) from 1/a
@@ -327,6 +394,31 @@ def test_refine_until_names_stage_and_rounds():
     assert str(err.value) == (
         f"modulus classes undecided after {certroots._MAX_ROUNDS} refinement rounds"
     )
+
+
+# degree-24 factors of the composed product of the modulus-square minimal
+# polynomials that the lambda_1^2 Salem route builds for the special
+# sextics 1,-1,3,-3,3,-1,1, 1,-1,3,-1,3,-1,1 and 1,-1,4,-1,4,-1,1; their
+# root order holds exact modulus ties
+SQUARE_ROUTE_FACTORS = (
+    "1,-1,9,-1,118,-172,874,-1539,3007,-4807,7515,-7560,10296,"
+    "-7560,7515,-4807,3007,-1539,874,-172,118,-1,9,-1,1",
+    "1,1,-7,31,74,4,90,109,627,-2237,5803,-9556,10184,"
+    "-9556,5803,-2237,627,109,90,4,74,31,-7,1,1",
+    "1,3,-36,11,972,951,-2376,189,13980,-27771,97944,-202095,239370,"
+    "-202095,97944,-27771,13980,189,-2376,951,972,11,-36,3,1",
+)
+
+
+@pytest.mark.parametrize(
+    "text", SQUARE_ROUTE_FACTORS, ids=["1,-1,3,-3,3,-1,1", "1,-1,3,-1,3,-1,1", "1,-1,4,-1,4,-1,1"]
+)
+def test_modulus_ties_narrow_every_round(text, monkeypatch):
+    # every round of the tie test must shrink the disks; rounds that only
+    # raise a level the disks are already finer than used up to 79 of 80
+    monkeypatch.setattr(certroots, "_MAX_ROUNDS", 20)
+    rs = isolate_roots(IntPoly.parse(text), Fraction(1, 1 << 24))
+    assert rs.labeling == "modulus-then-conjugate"
 
 
 class _StuckSystem:
