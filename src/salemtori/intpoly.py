@@ -638,7 +638,8 @@ def exterior_resolvent(p: IntPoly, k: int) -> IntPoly:
     """The monic polynomial whose roots are the products of the k-subsets
     of the roots of monic p, the char poly of the k-th exterior power of
     its companion.  Its j-th power sum is e_k of the j-th powers of the
-    roots, which Newton gives from P_j, P_2j, ..., P_kj."""
+    roots, which Newton gives from P_j, P_2j, ..., P_kj; for k = 2 that is
+    (P_j^2 - P_2j) / 2."""
     if not p.is_monic():
         raise NotMonic(str(p))
     n = p.degree
@@ -646,6 +647,8 @@ def exterior_resolvent(p: IntPoly, k: int) -> IntPoly:
         raise BadRank(f"exterior power {k} of a degree-{n} polynomial")
     size = math.comb(n, k)
     ps = power_sums(p, k * size)
+    if k == 2:
+        return from_power_sums([(ps[j - 1] ** 2 - ps[2 * j - 1]) // 2 for j in range(1, size + 1)])
     sign = (-1) ** k
     return from_power_sums(
         [sign * from_power_sums(ps[j - 1 : k * j : j]).coeffs[0] for j in range(1, size + 1)]

@@ -8,6 +8,8 @@ forms live in ``tests/wedge.py`` and serve here as the independent
 oracle.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,3 +118,21 @@ def test_inexact_newton_step_is_named():
     # power sums (1, 0) force e_2 = 1/2: no monic integer polynomial has them
     with pytest.raises(VerificationFailed, match="Newton step 2 of 2"):
         from_power_sums((1, 0))
+
+
+def generic_exterior(p, k):
+    """The exterior resolvent through one Newton inversion per power:
+    e_k of the j-th powers from P_j, P_2j, ..., P_kj."""
+    size = math.comb(p.degree, k)
+    ps = power_sums(p, k * size)
+    sign = (-1) ** k
+    return from_power_sums(
+        [sign * from_power_sums(ps[j - 1 : k * j : j]).coeffs[0] for j in range(1, size + 1)]
+    )
+
+
+@settings(max_examples=60)
+@given(p=monic(min_degree=2, max_degree=12, bound=20))
+def test_exterior_square_matches_generic_route(p):
+    # k = 2 reads e_2 of the j-th powers as (P_j^2 - P_2j) / 2
+    assert exterior_resolvent(p, 2) == generic_exterior(p, 2)
