@@ -1,21 +1,24 @@
 """Certified complex root isolation.
 
 Approximations start from simultaneous (Aberth) sweeps in hardware floats,
-which are certified as they are.  Finer disks come from Newton steps on
-each root in fixed point: integer pairs over 2^(prec + 16), with prec
-doubling when the disks do not certify or are too coarse.  When the float
-seeds fail, or Newton meets a zero derivative, does not converge or sends
-two roots to one point, the same Aberth sweeps run on those integers,
-from a circle start of rational points if need be.  Every guarantee is
-restored exactly: Weierstrass correction terms are evaluated in exact
-dyadic integer arithmetic and yield disks that provably contain the roots
-(a connected union of k such disks holds exactly k roots, so pairwise
-disjoint disks isolate).  All downstream decisions, conjugate pairing,
-reciprocal pairing, modulus classes and ties, matching derived values to
-resolvent factors, are made with midpoint-radius dyadic balls: integer
-mantissas over a shared power-of-two exponent, compared exactly, with the
-only inexact operation (inversion) rounded outward.  Floats never decide
-anything.
+which are certified as they are.  The sweeps start from Bini's points:
+one circle per edge of the Newton polygon of the coefficients' moduli,
+holding as many points as the edge is long, since that many root moduli
+cluster near it; a degree-12 factor then converges in about 9 sweeps.
+Finer disks come from Newton steps on each root in fixed point: integer
+pairs over 2^(prec + 16), with prec doubling when the disks do not
+certify or are too coarse.  When the float seeds fail, or Newton meets a
+zero derivative, does not converge or sends two roots to one point, the
+same Aberth sweeps run on those integers, from a circle start of rational
+points if need be.  Every guarantee is restored exactly: Weierstrass
+correction terms are evaluated in exact dyadic integer arithmetic and
+yield disks that provably contain the roots (a connected union of k such
+disks holds exactly k roots, so pairwise disjoint disks isolate).  All
+downstream decisions, conjugate pairing, reciprocal pairing, modulus
+classes and ties, matching derived values to resolvent factors, are made
+with midpoint-radius dyadic balls: integer mantissas over a shared
+power-of-two exponent, compared exactly, with the only inexact operation
+(inversion) rounded outward.  Floats never decide anything.
 """
 
 from __future__ import annotations
@@ -567,8 +570,10 @@ def _polygon_start(p: IntPoly):
 
 def _float_seed(p: IntPoly):
     """Approximate roots from Aberth sweeps in hardware floats, started
-    from _polygon_start(p); None on overflow, a non-finite value, a zero
-    derivative, coincident approximations or no convergence."""
+    from _polygon_start(p), Bini's points on the Newton-polygon circles;
+    None on overflow, a non-finite value, a zero derivative, coincident
+    approximations or no convergence, and the fixed-point sweeps from
+    _circle_start take over."""
     n = p.degree
     desc = [p.coeffs[-1 - i] for i in range(n + 1)]
     try:

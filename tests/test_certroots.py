@@ -333,8 +333,8 @@ def test_float_seed_overflow_falls_back(monkeypatch):
 
 def test_polygon_start_sweeps_on_wedge_factors():
     # the degree-12 wedge-square factors of the bound-2 special sextics
-    # need 34 sweeps on average, 44 at most, from a circle of radius
-    # 0.7 cauchy_bound
+    # take at most 13 sweeps from the polygon start; from one circle of
+    # radius 0.7 cauchy_bound they took up to 36
     factors = {
         f
         for _t, p, _c in enumerate_special(2)
