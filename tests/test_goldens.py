@@ -18,7 +18,9 @@ while the first-degree Salem test still left their top-two-moduli cases
 undecided; deciding them flipped their ``salem_first`` to true.  All
 fifteen were regenerated by this runner when the ``--precision-bits``
 setting was deleted; only ``schema`` (``salemtori-report/2`` to
-``/3``) and the removed ``settings.precision_bits`` changed.
+``/3``) and the removed ``settings.precision_bits`` changed.  The
+``sweep-bound-2`` golden was produced by this runner before value
+location stopped isolating the resolvent factors.
 
 Regenerate (only when a change of output is intended and recorded):
 
@@ -84,6 +86,7 @@ CASES["degrees-repeated-nonreal-top-blocks"] = [
     "4",
 ]
 CASES["sweep-bound-1"] = ["sweep", "--trace-coeff-bound", "1"]
+CASES["sweep-bound-2"] = ["sweep", "--trace-coeff-bound", "2"]
 # coprime splits with their Bezout identities: a reducible sextic, and a
 # block matrix whose char poly holds the first factor of m squared
 CASES["fibration-reducible-sextic"] = ["fibration", "1,-4,3,-3,3,-4,1"]
