@@ -1251,79 +1251,86 @@ def derived_value(current, systems, tag=None) -> CertValue:
     return CertValue(current(), shrink_to, tag)
 
 
-class FactorRoots:
-    """The root systems, taken from a RootStore, of the irreducible
-    factors of a factorization; every derived value is located among
-    roots here."""
+def _zero_free(g: IntPoly, ball: ComplexBall) -> bool:
+    """Whether g certainly has no zero in the disk, by the mean value
+    inequality: |g(z) - g(c)| <= r max|g'| on a disk (c, r), and
+    |g'| <= sum k |a_k| (|c| + r)^(k - 1) there, so
+    |g(c)| > r sum k |a_k| (|c| + r)^(k - 1) leaves no zero.
 
-    def __init__(self, factors, store: RootStore):
-        self.factors = factors
-        self.store = store
-        self.systems = [store[f] for f, _m in factors]
-
-    def factor(self, fi) -> IntPoly:
-        return self.factors.factors[fi][0]
-
-    def locate(self, value: CertValue):
-        """(factor index, slot) of the root equal to value, a CertValue
-        known to be a root of the factorization.
-
-        Each round quarters a target radius, shrinks the value to it and
-        refines to it the factors whose roots the value's disk still meets.
-        Raises VerificationFailed when the disk meets no root, Ambiguous
-        when the value cannot shrink, PrecisionExhausted when the rounds
-        run out.
-        """
-        target = Fraction(1, 1 << 24)
-        hits = []
-
-        def decide():
-            hits[:] = [
-                (fi, si)
-                for fi, rs in enumerate(self.systems)
-                for si, root in enumerate(rs.roots)
-                if not value.ball.is_disjoint(root)
-            ]
-            if not hits:
-                raise VerificationFailed("a value matches no factor root")
-            return hits[0] if len(hits) == 1 else None
-
-        def refine():
-            nonlocal target
-            target = target / 4
-            if not value.shrink(target):
-                raise Ambiguous("values cannot be separated further")
-            for fi in {fi for fi, _si in hits}:
-                self.systems[fi].refine(target)
-
-        return refine_until(decide, refine, "value location")
+    The disk is (C, R) 2^e on integers (e raised to 0 when positive), and
+    both sides times D^n, D = 2^-e, n = deg g, are integers: D^n g(c) by
+    homogeneous Horner over the Gaussian integers, and the right side with
+    |C| + R bounded by ceil|C| + R.  Their squares are compared."""
+    x, y, r, e = ball._re, ball._im, ball._rad, ball._exp
+    if e > 0:
+        x, y, r, e = x << e, y << e, r << e, 0
+    d = 1 << -e
+    cs = g.coeffs
+    n = len(cs) - 1
+    s = x * x + y * y
+    m = math.isqrt(s)
+    m += (m * m != s) + r  # at least |C| + R
+    vr, vi, w, dk = cs[n], 0, n * abs(cs[n]), 1
+    for k in range(n - 1, -1, -1):
+        dk *= d  # D^(n - k)
+        vr, vi = vr * x - vi * y + cs[k] * dk, vr * y + vi * x
+        if k:
+            w = w * m + k * abs(cs[k]) * dk
+    return vr * vr + vi * vi > (r * w) ** 2
 
 
-def certify_value_match(values, factors, store: RootStore):
-    """Assign each value to one root slot of a factored polynomial.
+def _owner(value: CertValue, factors: FactorList) -> int:
+    """The index of the irreducible factor that has value, a root of the
+    factored polynomial, as a root: the one factor left when every other
+    is certified zero-free on the value's disk (_zero_free).
+
+    Each round quarters a target radius and shrinks the value to it; a
+    factor zero-free on one disk of the value stays excluded.  Distinct
+    irreducible factors share no root, so one factor is left in the end.
+    Raises VerificationFailed when every factor is zero-free on the disk,
+    Ambiguous when the value cannot shrink, PrecisionExhausted when the
+    rounds run out.
+    """
+    target = Fraction(1, 1 << 24)
+    left = list(enumerate(f for f, _m in factors))
+
+    def decide():
+        left[:] = [(fi, f) for fi, f in left if not _zero_free(f, value.ball)]
+        if not left:
+            raise VerificationFailed("a value is a root of no factor")
+        return left[0][0] if len(left) == 1 else None
+
+    def refine():
+        nonlocal target
+        target = target / 4
+        if not value.shrink(target):
+            raise Ambiguous("values cannot be separated further")
+
+    return refine_until(decide, refine, "value location")
+
+
+def certify_value_match(values, factors: FactorList):
+    """The owner of each value: the index of the irreducible factor of a
+    factored polynomial that has it as a root (_owner).
 
     values: CertValue or plain ComplexBall items whose true values form,
     with multiplicity, the root multiset of the factorization.
-    factors: FactorList; a factor of degree d and multiplicity k
-    contributes d slots of capacity k.
-    store: the RootStore the factors' root systems are taken from.
-    Returns one (factor_index, slot_index) per value, with slot loads
-    verified against multiplicities.  Raises VerificationFailed when a
-    value provably matches no root, Ambiguous or PrecisionExhausted when
-    separation stalls.
+    factors: FactorList; a factor of degree d and multiplicity k must own
+    d k of the values.  Raises VerificationFailed when the counts do not
+    hold or a value provably is a root of no factor, Ambiguous or
+    PrecisionExhausted when separation stalls.
     """
     total = sum(f.degree * m for f, m in factors)
     if total != len(values):
         raise VerificationFailed(
             f"value count {len(values)} does not match total root count {total}"
         )
-    roots = FactorRoots(factors, store)
-    match = [roots.locate(v if isinstance(v, CertValue) else CertValue(v)) for v in values]
-    loads = Counter(match)
+    owners = [_owner(v if isinstance(v, CertValue) else CertValue(v), factors) for v in values]
+    loads = Counter(owners)
     for fi, (f, mult) in enumerate(factors):
-        for si in range(f.degree):
-            if loads[fi, si] != mult:
-                raise VerificationFailed(
-                    f"a root slot received {loads[fi, si]} values, expected {mult}"
-                )
-    return match
+        if loads[fi] != f.degree * mult:
+            raise VerificationFailed(
+                f"a factor of degree {f.degree} and multiplicity {mult} owns"
+                f" {loads[fi]} values, expected {f.degree * mult}"
+            )
+    return owners

@@ -29,12 +29,12 @@ from functools import cached_property, cmp_to_key
 from .certroots import (
     CertValue,
     ComplexBall,
-    FactorRoots,
     RootStore,
     RootSystem,
     _compare_moduli,
     _modsq_radical,
     _modsq_resolvent,
+    _owner,
     certify_value_match,
     derived_value,
     isolate_roots,
@@ -42,6 +42,7 @@ from .certroots import (
 )
 from .exactlin import IntMatrix, char_poly, det
 from .exceptions import (
+    Ambiguous,
     ClassificationRequired,
     CollisionUnresolved,
     EndpointIsRoot,
@@ -167,9 +168,9 @@ def classify_special(p: IntPoly) -> SpecialClassification:
     )
 
 
-def _partition_from_match(match):
+def _partition_from_match(owners):
     groups = {}
-    for pair, (fi, _slot) in zip(ALL_PAIRS, match):
+    for pair, fi in zip(ALL_PAIRS, owners):
         groups.setdefault(fi, set()).add(pair)
     return tuple(sorted(map(frozenset, groups.values()), key=lambda o: (len(o), min(o))))
 
@@ -251,9 +252,9 @@ class SexticAnalysis:
 
     @cached_property
     def wedge2_match(self):
-        """The (factor, slot) of each plain pair product, in ALL_PAIRS order."""
+        """The owning factor of each plain pair product, in ALL_PAIRS order."""
         values = [self.pair_value(i, j) for i, j in ALL_PAIRS]
-        return certify_value_match(values, self.wedge2_factors, self.store)
+        return certify_value_match(values, self.wedge2_factors)
 
     def pair_orbits(self, c_max: int = 100):
         """(partition, route): the Galois orbit partition of the 15 pairs
@@ -284,8 +285,10 @@ class SexticAnalysis:
                 continue
             fl = factor_over_z(resolvent)
             values = [self.pair_value(i, j, c) for i, j in ALL_PAIRS]
-            match = certify_value_match(values, fl, self.store)
-            return _partition_from_match(match), ("shifted pair-products", c)
+            return _partition_from_match(certify_value_match(values, fl)), (
+                "shifted pair-products",
+                c,
+            )
         raise CollisionUnresolved(f"no shift c <= {c_max} separates the pair values")
 
     @cached_property
@@ -302,8 +305,8 @@ class SexticAnalysis:
         if t8.degree != 8:
             raise VerificationFailed("cube resolvent did not split off the square")
         fl = factor_over_z(t8)
-        match = certify_value_match([self.triple_value(t) for t in OCTET_TRIPLES], fl, self.store)
-        return t8, fl, tuple(fl.factors[fi][0] for fi, _slot in match)
+        owners = certify_value_match([self.triple_value(t) for t in OCTET_TRIPLES], fl)
+        return t8, fl, tuple(fl.factors[fi][0] for fi in owners)
 
     @cached_property
     def product_one_triples(self) -> frozenset:
@@ -427,14 +430,19 @@ def gross_mcmullen(two_k: int, a_max: int = 10000) -> IntPoly:
 # eigenvalue bookkeeping for degree computations
 
 
-class _Spectrum(FactorRoots):
+class _Spectrum:
     """Eigenvalues of an integer matrix: the root systems, taken from a
     store, of its char poly's irreducible factors; instances carry
     algebraic multiplicity."""
 
     def __init__(self, chi: IntPoly, store: RootStore):
-        super().__init__(store.factors(chi), store)
+        self.factors = store.factors(chi)
+        self.store = store
+        self.systems = [store[f] for f, _m in self.factors]
         self._radicals = {}
+
+    def factor(self, fi) -> IntPoly:
+        return self.factors.factors[fi][0]
 
     def instances(self):
         out = []
@@ -508,11 +516,47 @@ class _Spectrum(FactorRoots):
         value = derived_value(lambda: refine_until(inverse, rs.refine, "zero exclusion"), (rs,))
         return self.locate(value)
 
+    def locate(self, value: CertValue):
+        """(factor index, slot) of the eigenvalue equal to value, a
+        CertValue known to be one.
+
+        Each round quarters a target radius, shrinks the value to it and
+        refines to it the factors whose roots the value's disk still meets.
+        Raises VerificationFailed when the disk meets no root, Ambiguous
+        when the value cannot shrink, PrecisionExhausted when the rounds
+        run out.
+        """
+        target = Fraction(1, 1 << 24)
+        hits = []
+
+        def decide():
+            hits[:] = [
+                (fi, si)
+                for fi, rs in enumerate(self.systems)
+                for si, root in enumerate(rs.roots)
+                if not value.ball.is_disjoint(root)
+            ]
+            if not hits:
+                raise VerificationFailed("a value matches no factor root")
+            return hits[0] if len(hits) == 1 else None
+
+        def refine():
+            nonlocal target
+            target = target / 4
+            if not value.shrink(target):
+                raise Ambiguous("values cannot be separated further")
+            for fi in {fi for fi, _si in hits}:
+                self.systems[fi].refine(target)
+
+        return refine_until(decide, refine, "value location")
+
 
 def _min_poly_at(spec: _Spectrum, poly: IntPoly, value: CertValue) -> IntPoly:
-    """The factor of poly, factored once per store, with value as a root."""
-    roots = FactorRoots(spec.store.factors(poly), spec.store)
-    return roots.factor(roots.locate(value)[0])
+    """The irreducible factor of poly that owns value, a root of poly
+    (certroots._owner): every other factor is certified zero-free on the
+    value's disk, and none is isolated.  poly is factored once per store."""
+    factors = spec.store.factors(poly)
+    return factors.factors[_owner(value, factors)][0]
 
 
 def _modsq_root(spec: _Spectrum, inst) -> IntPoly:

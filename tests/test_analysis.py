@@ -2,10 +2,10 @@
 
 Each public question on a special sextic classifies it once and isolates
 its roots once, and one analysis passed to several questions does both
-only once in total.  A sweep row isolates no polynomial twice, counting
-every isolation: the sextic's, its spectrum's and those of the resolvent
-factors that values are located among; nor does it factor any polynomial
-twice.  None of the questions builds a
+only once in total.  A sweep row isolates the sextic and nothing else:
+values are located among resolvent factors by zero exclusion, which
+isolates no factor; nor does it factor any polynomial twice.  None of
+the questions builds a
 matrix characteristic polynomial: the pair and triple resolvents come
 from power sums.
 """
@@ -20,6 +20,8 @@ from salemtori import certroots, cli, exactlin, galois, intpoly, salem, torus
 from salemtori.exceptions import NotSpecial
 from salemtori.intpoly import FactorList, IntPoly
 from salemtori.salem import SexticAnalysis, classify_special
+
+from isolation_route import isolation_owner
 
 P1 = IntPoly.parse("1,3,5,5,5,3,1")
 P2 = IntPoly.parse("1,-5,13,-11,13,-5,1")
@@ -112,25 +114,35 @@ def test_given_classification_is_reused(counts):
 
 
 def test_sweep_row_isolates_no_polynomial_twice(monkeypatch):
+    # values are located among resolvent factors without isolating them,
+    # so a row isolates the sextic alone and builds no modulus-tie radical
     seen = Counter()
+    radicals = []
     isolate = certroots.isolate_roots
+    radical = certroots._modsq_radical
 
     def counting_isolate(p, eps):
         seen[p] += 1
         return isolate(p, eps)
 
+    def counting_radical(parts):
+        radicals.append(parts)
+        return radical(parts)
+
     for module in (certroots, salem, galois, torus):
         monkeypatch.setattr(module, "isolate_roots", counting_isolate, raising=False)
+    for module in (certroots, salem):
+        monkeypatch.setattr(module, "_modsq_radical", counting_radical)
     args = argparse.Namespace(c_max=100)
     rows = 0
     # counting starts with the classification enumerate_special hands over
-    for q, p, cls in salem.enumerate_special(1):
+    for q, p, cls in salem.enumerate_special(2):
         cli._sweep_row(q, SexticAnalysis(p, cls), args)
-        assert seen[p] == 1, str(p)
-        assert max(seen.values()) == 1, str(p)
+        assert seen == {p: 1}, str(p)
         seen.clear()
         rows += 1
-    assert rows == 12
+    assert rows == 50
+    assert radicals == []
 
 
 def test_sweep_row_factors_no_polynomial_twice(monkeypatch):
@@ -190,6 +202,12 @@ def test_shifted_pair_route_matches_plain_route(poly):
     assert name == "shifted pair-products"
     assert c >= 1
     assert shifted == plain
+    # the shifted values' owners, against the isolation route
+    fl = intpoly.factor_over_z(intpoly.shifted_pair_resolvent(poly, c))
+    values = [sx.pair_value(i, j, c) for i, j in salem.ALL_PAIRS]
+    owners = certroots.certify_value_match(values, fl)
+    assert owners == [isolation_owner(v, fl) for v in values]
+    assert salem._partition_from_match(owners) == shifted
 
 
 def test_non_special_analysis_raises():

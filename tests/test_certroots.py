@@ -11,7 +11,6 @@ from salemtori import certroots
 from salemtori.certroots import (
     CertValue,
     ComplexBall,
-    FactorRoots,
     RootStore,
     certify_value_match,
     derived_value,
@@ -28,7 +27,7 @@ from salemtori.exceptions import (
     VerificationFailed,
 )
 from salemtori.intpoly import IntPoly, exterior_resolvent, factor_over_z, is_squarefree
-from salemtori.salem import enumerate_special
+from salemtori.salem import _Spectrum, enumerate_special
 from wedge import wedge_power
 
 P1 = IntPoly.parse("1,3,5,5,5,3,1")
@@ -553,17 +552,13 @@ def test_value_match_pair_products():
     fl = wedge2_factors()
     assert fl.degrees() == [1, 1, 1, 3, 3, 6]
     values = pair_product_values(isolate_roots(P1, Fraction(1, 1 << 24)))
-    match = certify_value_match(values, fl, RootStore())
-    per_factor = Counter(fi for fi, _ in match)
+    match = certify_value_match(values, fl)
+    per_factor = Counter(match)
     for fi, (f, mult) in enumerate(fl):
         assert per_factor[fi] == f.degree * mult
-    # products over the reciprocal pairs are exactly 1, the rational slot
+    # products over the reciprocal pairs are exactly 1, owned by t - 1
     lin = [fi for fi, (f, m) in enumerate(fl) if f.degree == 1][0]
-    ones = {
-        values[k].tag
-        for k, (fi, _si) in enumerate(match)
-        if fi == lin
-    }
+    ones = {values[k].tag for k, fi in enumerate(match) if fi == lin}
     assert ones == {(0, 1), (2, 3), (4, 5)}
 
 
@@ -589,9 +584,7 @@ def test_derived_value_refines_roots_until_narrow():
 def test_locate_refines_only_factors_the_value_meets():
     # (t-1)(t-2)(t^2+t+1); the value is 2, first known to within 3/5 of
     # 3/2, so its disk meets the roots 1 and 2 but not the cube roots of 1
-    roots = FactorRoots(
-        factor_over_z(IntPoly.parse("2,-3,1") * IntPoly.parse("1,1,1")), RootStore()
-    )
+    roots = _Spectrum(IntPoly.parse("2,-3,1") * IntPoly.parse("1,1,1"), RootStore())
     value = CertValue(
         ComplexBall(Fraction(3, 2), 0, Fraction(3, 5)),
         lambda target: ComplexBall(2, 0, target),
@@ -611,7 +604,7 @@ def test_value_match_rational_slot_capacity():
         ComplexBall.exact(1),
         ComplexBall.exact(3),
     ]
-    match = certify_value_match(values, fl, RootStore())
+    match = certify_value_match(values, fl)
     assert match[0] == match[1]
     assert match[2] != match[0]
 
@@ -619,17 +612,17 @@ def test_value_match_rational_slot_capacity():
 def test_value_match_detects_alien_value():
     fl = factor_over_z(IntPoly.parse("2,-3,1"))  # (t-1)(t-2)
     with pytest.raises(VerificationFailed):
-        certify_value_match([ComplexBall.exact(1), ComplexBall.exact(5)], fl, RootStore())
+        certify_value_match([ComplexBall.exact(1), ComplexBall.exact(5)], fl)
 
 
 def test_value_match_ambiguous_without_refinement():
     fl = factor_over_z(IntPoly.parse("2,-3,1"))
     wide = ComplexBall(Fraction(3, 2), Fraction(0), Fraction(2))
     with pytest.raises(Ambiguous):
-        certify_value_match([wide, ComplexBall.exact(2)], fl, RootStore())
+        certify_value_match([wide, ComplexBall.exact(2)], fl)
 
 
 def test_value_match_wrong_count():
     fl = factor_over_z(IntPoly.parse("2,-3,1"))
     with pytest.raises(VerificationFailed):
-        certify_value_match([ComplexBall.exact(1)], fl, RootStore())
+        certify_value_match([ComplexBall.exact(1)], fl)

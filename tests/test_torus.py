@@ -173,6 +173,26 @@ def test_picard_conjugation_invariance():
             assert rhos[_conj_triple(t)] == rho
 
 
+def test_picard_numbers_0_3_9_all_occur_at_bound_2():
+    # the paper: Picard numbers 0, 3 and 9 are all realized
+    counts = Counter(
+        rep.rho for _q, p, _cls in salem.enumerate_special(2) for _t, _f, rep in torus.picard_table(p)
+    )
+    assert counts == {0: 192, 3: 196, 9: 12}
+
+
+def test_picard_conjugation_invariance_at_bound_2():
+    # the conjugate complex structure has the same Neron-Severi rank
+    rows = 0
+    for _q, p, _cls in salem.enumerate_special(2):
+        rhos = {t: rep.rho for t, _f, rep in torus.picard_table(p)}
+        assert len(rhos) == 8
+        for t, rho in rhos.items():
+            assert rhos[_conj_triple(t)] == rho, (str(p), t)
+        rows += 1
+    assert rows == 50
+
+
 def test_fibration_exists_matches_reducibility():
     for p in (P1, P2, P3):
         assert fibration_exists(p) is False
