@@ -18,7 +18,9 @@ downstream decisions, conjugate pairing, reciprocal pairing, modulus
 classes and ties, matching derived values to resolvent factors, are made
 with midpoint-radius dyadic balls: integer mantissas over a shared
 power-of-two exponent, compared exactly, with the only inexact operation
-(inversion) rounded outward.  Floats never decide anything.
+(inversion) rounded outward.  A derived value is matched without
+isolating the resolvent's factors: every factor but its own is proven
+zero-free on the value's disk.  Floats never decide anything.
 """
 
 from __future__ import annotations

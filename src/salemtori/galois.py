@@ -25,8 +25,9 @@ disc(p) = disc(q)^2 q(2) q(-2) for the monic trace cubic q.  As q is
 irreducible, disc(q) is nonzero: disc(p) is a square exactly when
 q(2) q(-2) is, and disc(p) disc(q) exactly when disc(q) q(2) q(-2) is.
 
-All resolvents are certified: factor assignments go through disk
-matching against isolated roots, never through floating-point guesses.
+All resolvents are certified: a value's factor is the one factor left
+when every other is proven zero-free on the value's disk, never a
+floating-point guess.
 """
 
 from __future__ import annotations
