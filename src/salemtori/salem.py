@@ -285,10 +285,8 @@ class SexticAnalysis:
                 continue
             fl = factor_over_z(resolvent)
             values = [self.pair_value(i, j, c) for i, j in ALL_PAIRS]
-            return _partition_from_match(certify_value_match(values, fl)), (
-                "shifted pair-products",
-                c,
-            )
+            owners = certify_value_match(values, fl)
+            return _partition_from_match(owners), ("shifted pair-products", c)
         raise CollisionUnresolved(f"no shift c <= {c_max} separates the pair values")
 
     @cached_property
